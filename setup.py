@@ -1,15 +1,29 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` package.
 
-The canonical metadata lives in ``pyproject.toml``; this file only exists
-so that ``pip install -e . --no-use-pep517`` works on machines without the
-``wheel`` package (e.g. fully offline environments).
+The version is read from ``src/repro/__init__.py`` (``__version__``), the
+one place it is defined, so the package metadata and the provenance
+stamps on every result always carry the same version.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+
+def read_version() -> str:
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    match = re.search(
+        r'^__version__ = "([^"]+)"$', init.read_text(encoding="utf-8"), re.MULTILINE
+    )
+    if match is None:
+        raise RuntimeError(f"no __version__ assignment in {init}")
+    return match.group(1)
+
+
 setup(
     name="repro",
-    version="1.5.0",
+    version=read_version(),
     description=(
         "Abstract interpretation under speculative execution (PLDI 2019 "
         "reproduction), served as a system: persistent result store, async "

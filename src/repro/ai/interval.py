@@ -152,6 +152,10 @@ class IntervalState:
             )
         return IntervalState(values=values)
 
+    def join_changed(self, other: "IntervalState") -> tuple["IntervalState", bool]:
+        joined = self.join(other)
+        return joined, not joined.leq(self)
+
     def widen(self, previous: "IntervalState") -> "IntervalState":
         if previous.is_bottom or self.is_bottom:
             return self

@@ -25,6 +25,11 @@ class AbstractValue(Protocol):
         """Least upper bound (the ⊔ operator)."""
         ...
 
+    def join_changed(self: T, other: T) -> tuple[T, bool]:
+        """``(self ⊔ other, not (self ⊔ other) ⊑ self)`` in one pass — what
+        the solvers need after every delivery."""
+        ...
+
     def widen(self: T, previous: T) -> T:
         """Widening of ``self`` (the new, joined value) against the value
         stored on the previous iteration.  Domains with finite height may

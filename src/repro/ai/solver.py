@@ -93,11 +93,10 @@ def solve_forward(
         exit_states[name] = state_out
         changed: list[str] = []
         for successor in cfg.successors(name):
-            current = entry_states[successor]
-            joined = policy.apply(
-                successor, visit_counts.get(successor, 0), current, current.join(state_out)
+            joined, grew = policy.join(
+                successor, visit_counts.get(successor, 0), entry_states[successor], state_out
             )
-            if not joined.leq(current):
+            if grew:
                 entry_states[successor] = joined
                 changed.append(successor)
         return changed

@@ -15,6 +15,7 @@ from repro.analysis.transfer import (
     classify_block,
     new_bottom_state,
     new_entry_state,
+    share_planes,
     transfer_block,
 )
 from repro.cache.config import CacheConfig
@@ -50,11 +51,12 @@ def analyze_baseline(
     with span("fixpoint", program=cfg.name, kind="baseline") as fixpoint_span:
         result = solve_forward(
             cfg,
-            entry_state=new_entry_state(config, use_shadow_state),
-            bottom=new_bottom_state(config, use_shadow_state),
+            entry_state=new_entry_state(config, use_shadow_state, table.universe),
+            bottom=new_bottom_state(config, use_shadow_state, table.universe),
             transfer=lambda name, state: transfer_block(state, table, name),
         )
         fixpoint_span.set(iterations=result.iterations, widenings=result.widenings)
+    share_planes(result.entry_states.values())
     metrics().counter("fixpoint.pops").inc(result.iterations)
     metrics().counter("fixpoint.widenings").inc(result.widenings)
 

@@ -105,6 +105,7 @@ from repro.analysis.transfer import (
     classify_block,
     new_bottom_state,
     new_entry_state,
+    share_planes,
     transfer_block,
     transfer_block_with_prefix_join,
 )
@@ -349,7 +350,10 @@ class SpeculativeCacheAnalysis:
         #: Dirty-slot re-transfers performed by the sparse scheduler
         #: (telemetry only; published to the metrics registry by run()).
         self._slot_transfers = 0
-        self._bottom = new_bottom_state(self.cache_config, self._use_shadow)
+        #: The program's block universe: every state of this analysis
+        #: (seeded, decoded or computed) is held over it.
+        self.universe = self.table.universe
+        self._bottom = new_bottom_state(self.cache_config, self._use_shadow, self.universe)
         # ------------------------------------------------------------------
         # Precomputed per-block indices (the sparse engine's substrate):
         # which scenarios inject at a block, O(1) color -> scenario lookup,
@@ -444,6 +448,7 @@ class SpeculativeCacheAnalysis:
             shards=self.scenario_shards,
         ) as fixpoint_span:
             fixpoint = self.solve()
+            share_planes(fixpoint.normal.values())
             self.last_fixpoint = fixpoint
             fixpoint_span.set(
                 iterations=fixpoint.iterations,
@@ -539,6 +544,9 @@ class SpeculativeCacheAnalysis:
                 return self._solve_warm(plan)
         return self._solve_sparse()
 
+    def _entry_state(self):
+        return new_entry_state(self.cache_config, self._use_shadow, self.universe)
+
     def _schedule_order(self) -> dict[str, int]:
         return {name: position for position, name in enumerate(self.cfg.reverse_postorder())}
 
@@ -558,7 +566,7 @@ class SpeculativeCacheAnalysis:
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = self._entry_state()
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
         visits: dict[str, int] = {name: 0 for name in reachable}
         dirty: dict[str, set] = {name: set() for name in reachable}
@@ -749,18 +757,20 @@ class SpeculativeCacheAnalysis:
             if name in affected or name not in warm.normal:
                 normal[name] = self._bottom
             else:
-                normal[name] = warm.normal[name]
+                normal[name] = warm.normal[name].in_universe(self.universe)
             slots: dict[SlotKey, object] = {}
             if name not in affected:
                 for slot, value in warm.slots.get(name, {}).items():
                     mapped = color_map.get(slot[1])
                     if mapped is None:
                         continue
-                    slots[(slot[0], mapped) + tuple(slot[2:])] = value
+                    slots[(slot[0], mapped) + tuple(slot[2:])] = value.in_universe(
+                        self.universe
+                    )
                     seeded_slots += 1
             speculative[name] = slots
         if cfg.entry in affected:
-            normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+            normal[cfg.entry] = self._entry_state()
 
         # Seed the chooser for stable scenarios: classification reads the
         # active window of every scenario, including ones the warm drain
@@ -975,7 +985,7 @@ class SpeculativeCacheAnalysis:
         no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = self._entry_state()
         visits: dict[str, int] = {name: 0 for name in reachable}
         normal_dirty: dict[str, set] = {name: set() for name in reachable}
 
@@ -1033,9 +1043,8 @@ class SpeculativeCacheAnalysis:
                 joined_delta: set[str] = set()
                 for _, local_normal, local_changed in runs:
                     for block in sorted(local_changed, key=lambda b: order.get(b, 0)):
-                        current = normal[block]
-                        joined = current.join(local_normal[block])
-                        if not joined.leq(current):
+                        joined, changed = normal[block].join_changed(local_normal[block])
+                        if changed:
                             normal[block] = joined
                             joined_delta.add(block)
                 round_span.set(joined_blocks=len(joined_delta))
@@ -1180,7 +1189,7 @@ class SpeculativeCacheAnalysis:
         no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = self._entry_state()
         visits: dict[str, int] = {name: 0 for name in reachable}
         normal_dirty: dict[str, set] = {name: set() for name in reachable}
 
@@ -1290,11 +1299,12 @@ class SpeculativeCacheAnalysis:
                     for shard_index in range(shard_count):
                         pops, changed_blob = by_shard[shard_index]
                         iterations += pops
-                        local_states = decode_state_map(changed_blob)
+                        local_states = decode_state_map(changed_blob, self.universe)
                         for block in sorted(local_states, key=lambda b: order.get(b, 0)):
-                            current = normal[block]
-                            joined = current.join(local_states[block])
-                            if not joined.leq(current):
+                            joined, changed = normal[block].join_changed(
+                                local_states[block]
+                            )
+                            if changed:
                                 normal[block] = joined
                                 joined_delta.add(block)
                     round_span.set(
@@ -1331,7 +1341,11 @@ class SpeculativeCacheAnalysis:
             slots, chooser = by_shard_final[shard_index]
             for name, block_slots in slots.items():
                 if name in speculative:
-                    speculative[name].update(block_slots)
+                    # Pickled in the worker: re-home onto this universe.
+                    speculative[name].update(
+                        (slot, state.in_universe(self.universe))
+                        for slot, state in block_slots.items()
+                    )
             self.chooser.absorb(chooser)
         fixpoint.speculative = speculative
         fixpoint.iterations = iterations
@@ -1348,7 +1362,7 @@ class SpeculativeCacheAnalysis:
         policy = self._widening_policy()
 
         normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = new_entry_state(self.cache_config, self._use_shadow)
+        normal[cfg.entry] = self._entry_state()
         speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
         visits: dict[str, int] = {name: 0 for name in reachable}
 
@@ -1494,11 +1508,10 @@ class SpeculativeCacheAnalysis:
             if target not in normal:
                 continue
             if delivery.slot is None:
-                current = normal[target]
-                joined = policy.apply(
-                    target, visits.get(target, 0), current, current.join(delivery.value)
+                joined, grew = policy.join(
+                    target, visits.get(target, 0), normal[target], delivery.value
                 )
-                if not joined.leq(current):
+                if grew:
                     normal[target] = joined
                     changed.add(target)
                     if dirty is not None:
@@ -1508,8 +1521,8 @@ class SpeculativeCacheAnalysis:
             else:
                 slots = speculative[target]
                 current = slots.get(delivery.slot, self._bottom)
-                joined = current.join(delivery.value)
-                if not joined.leq(current):
+                joined, grew = current.join_changed(delivery.value)
+                if grew:
                     slots[delivery.slot] = joined
                     changed.add(target)
                     if dirty is not None:
@@ -1753,9 +1766,7 @@ class _ShardWorker:
         all_shards = analysis._build_shards(reachable)
         self.shards = [all_shards[index] for index in shard_indices]
         self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
-        self.mirror[analysis.cfg.entry] = new_entry_state(
-            analysis.cache_config, analysis._use_shadow
-        )
+        self.mirror[analysis.cfg.entry] = analysis._entry_state()
 
     def __call__(self, message: tuple):
         if message[0] == "round":
@@ -1779,7 +1790,7 @@ class _ShardWorker:
         (a shard with no seeds pops nothing and changes nothing, matching
         the serial backend's seeding filter).
         """
-        delta_states = decode_state_map(delta_blob)
+        delta_states = decode_state_map(delta_blob, self.analysis.universe)
         self.mirror.update(delta_states)
         delta = set(delta_states)
         order = self.order

@@ -5,6 +5,12 @@ operation: push an abstract cache state through the memory accesses of a
 basic block.  This module pre-resolves every instruction's
 :class:`MemoryRef` to a :class:`BlockAccess` once per program and
 provides the block-level transfer and classification helpers.
+
+The abstract states are bit-planes over a block universe
+(:class:`~repro.ir.memory.BlockUniverse`) holding exactly the blocks the
+program's accesses can touch; the table builds it once with the
+resolved accesses, and the state constructors below take it, so every
+state of one analysis shares a single universe.
 """
 
 from __future__ import annotations
@@ -16,7 +22,13 @@ from repro.cache.config import CacheConfig
 from repro.cache.setassoc import SetAssocCacheState
 from repro.cache.shadow import ShadowCacheState
 from repro.ir.cfg import CFG
-from repro.ir.memory import AccessKind, BlockAccess, MemoryLayout
+from repro.ir.memory import (
+    AccessKind,
+    BlockAccess,
+    BlockUniverse,
+    MemoryLayout,
+    placeholder_blocks,
+)
 from repro.analysis.result import AccessClassification
 
 
@@ -43,6 +55,9 @@ class AccessTable:
                         SiteAccess(instruction_index=index, access=layout.resolve(ref))
                     )
             self._by_block[name] = sites
+        self.universe = block_universe(
+            layout, (site.access for sites in self._by_block.values() for site in sites)
+        )
 
     def sites(self, block: str) -> list[SiteAccess]:
         return self._by_block.get(block, [])
@@ -59,8 +74,33 @@ class AccessTable:
         return sum(len(sites) for sites in self._by_block.values())
 
 
-def new_entry_state(config: CacheConfig, use_shadow: bool):
-    """Fresh empty-cache state of the flavour ``config`` calls for.
+def block_universe(layout: MemoryLayout, accesses) -> BlockUniverse:
+    """The universe of the blocks ``accesses`` can touch.
+
+    Every block an access may resolve to, plus the placeholder lines of
+    each object read with an unknown index (the Table-1 convention).
+    Ids follow layout order — objects in declaration order, blocks by
+    index, placeholders after every real block — never set or dict-hash
+    order, so equal programs get equal universes in every process.  The
+    block instances are the resolved accesses' own, shared, not copies.
+    """
+    real: dict = {}
+    placeholder_counts: dict[str, int] = {}
+    for access in accesses:
+        for block in access.blocks:
+            real.setdefault(block, block)
+        if access.kind is AccessKind.UNKNOWN:
+            placeholder_counts[access.symbol] = len(access.blocks)
+    position = {name: rank for rank, name in enumerate(layout.objects)}
+    blocks = sorted(real, key=lambda block: (position[block.symbol], block.index))
+    for symbol in sorted(placeholder_counts, key=position.__getitem__):
+        blocks.extend(placeholder_blocks(symbol, placeholder_counts[symbol]))
+    return BlockUniverse(blocks)
+
+
+def new_entry_state(config: CacheConfig, use_shadow: bool, universe: BlockUniverse):
+    """Fresh empty-cache state of the flavour ``config`` calls for, over
+    the program's block ``universe``.
 
     Fully-associative geometries use the flat single-set domain (the
     paper's default, bit-identical to the pre-geometry behaviour);
@@ -69,15 +109,29 @@ def new_entry_state(config: CacheConfig, use_shadow: bool):
     """
     if config.is_fully_associative:
         flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.empty(config.num_lines, policy=config.policy)
-    return SetAssocCacheState.empty(config, use_shadow)
+        return flavour.empty(config.num_lines, policy=config.policy, universe=universe)
+    return SetAssocCacheState.empty(config, use_shadow, universe)
 
 
-def new_bottom_state(config: CacheConfig, use_shadow: bool):
+def new_bottom_state(config: CacheConfig, use_shadow: bool, universe: BlockUniverse):
     if config.is_fully_associative:
         flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.bottom(config.num_lines, policy=config.policy)
-    return SetAssocCacheState.bottom(config, use_shadow)
+        return flavour.bottom(config.num_lines, policy=config.policy, universe=universe)
+    return SetAssocCacheState.bottom(config, use_shadow, universe)
+
+
+def share_planes(states) -> None:
+    """Hash-cons the bit-planes of fixpoint states that outlive the solve.
+
+    A result keeps one state per block, and neighbouring blocks' states
+    repeat most plane values in distinct int objects (about 2.5 objects
+    per distinct value on the paper's kernels); sharing them keeps the
+    retained results no larger than the dictionary states were.  Values
+    are unchanged, so this is invisible to every reader.
+    """
+    memo: dict = {}
+    for state in states:
+        state.share_planes(memo)
 
 
 def transfer_block(state, table: AccessTable, block: str, instruction_limit: int | None = None):

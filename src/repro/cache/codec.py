@@ -24,7 +24,12 @@ All three state flavours are supported — the flat
 :class:`~repro.cache.setassoc.SetAssocCacheState` wrapping either — for
 every geometry and replacement policy.  ``decode_state(encode_state(s))``
 is guaranteed equal to ``s`` (entries are written in sorted block order,
-so decoded dict ordering is canonical and deterministic).
+so equal states encode to equal bytes).  The format names blocks by
+symbol and index, never by bit position, so it is independent of the
+in-memory bit-plane layout: the decoders take the
+:class:`~repro.ir.memory.BlockUniverse` to decode into (a program's, so
+decoded states meet its live states without re-packing), or build one
+shared by every state of the blob.
 
 The format is versioned: a blob written under a different
 :data:`CODEC_VERSION`, a foreign magic, an unknown tag, or trailing bytes
@@ -38,7 +43,7 @@ from typing import Mapping
 from repro.cache.abstract import CacheState
 from repro.cache.shadow import ShadowCacheState
 from repro.cache.setassoc import SetAssocCacheState
-from repro.ir.memory import MemoryBlock
+from repro.ir.memory import BlockUniverse, MemoryBlock
 
 #: Leading bytes of every codec blob.
 MAGIC = b"RSC"
@@ -210,6 +215,10 @@ def _emit_state_body(out: bytearray, state, table: _SymbolTable) -> None:
     _emit_flat_maps(out, state, table)
 
 
+# Parsing yields plain specs first — ``("flat", lines, policy, bottom,
+# ages)``, ``("shadow", lines, policy, bottom, must, may)`` or
+# ``("setassoc", sets, ways, bottom, [specs])`` — so that every state of
+# a blob can be built over one universe once all its blocks are known.
 def _parse_flat_state(
     data: bytes, pos: int, symbols: list[str], kind: int, policy: str,
     bottom: bool, num_lines: int,
@@ -217,18 +226,9 @@ def _parse_flat_state(
     if kind == _KIND_SHADOW:
         must, pos = _parse_age_map(data, pos, symbols)
         may, pos = _parse_age_map(data, pos, symbols)
-        return (
-            ShadowCacheState(
-                num_lines=num_lines, must=must, may=may,
-                is_bottom=bottom, policy=policy,
-            ),
-            pos,
-        )
+        return ("shadow", num_lines, policy, bottom, must, may), pos
     ages, pos = _parse_age_map(data, pos, symbols)
-    return (
-        CacheState(num_lines=num_lines, ages=ages, is_bottom=bottom, policy=policy),
-        pos,
-    )
+    return ("flat", num_lines, policy, bottom, ages), pos
 
 
 def _parse_state_body(data: bytes, pos: int, symbols: list[str]):
@@ -262,13 +262,7 @@ def _parse_state_body(data: bytes, pos: int, symbols: list[str]):
                 data, pos, symbols, inner_kind, policy, set_bottom, ways
             )
             sets.append(per_set)
-        return (
-            SetAssocCacheState(
-                num_sets=num_sets, ways=ways, sets=tuple(sets),
-                is_bottom=bool(flags & _FLAG_BOTTOM),
-            ),
-            pos,
-        )
+        return ("setassoc", num_sets, ways, bool(flags & _FLAG_BOTTOM), sets), pos
     if kind not in (_KIND_FLAT, _KIND_SHADOW):
         raise CodecError(f"unknown state kind 0x{kind:02x}")
     if pos + 2 > len(data):
@@ -280,6 +274,50 @@ def _parse_state_body(data: bytes, pos: int, symbols: list[str]):
     pos += 2
     num_lines, pos = _read_uvarint(data, pos)
     return _parse_flat_state(data, pos, symbols, kind, policy, bottom, num_lines)
+
+
+def _spec_blocks(spec, out: set) -> None:
+    if spec[0] == "setassoc":
+        for per_set in spec[4]:
+            _spec_blocks(per_set, out)
+        return
+    for ages in spec[4:]:
+        out.update(ages)
+
+
+def _build_state(spec, universe: BlockUniverse):
+    if spec[0] == "setassoc":
+        _, num_sets, ways, bottom, sets = spec
+        return SetAssocCacheState(
+            num_sets=num_sets,
+            ways=ways,
+            sets=tuple(_build_state(per_set, universe) for per_set in sets),
+            is_bottom=bottom,
+        )
+    if spec[0] == "shadow":
+        _, num_lines, policy, bottom, must, may = spec
+        return ShadowCacheState(
+            num_lines=num_lines, must=must, may=may,
+            is_bottom=bottom, policy=policy, universe=universe,
+        )
+    _, num_lines, policy, bottom, ages = spec
+    return CacheState(
+        num_lines=num_lines, ages=ages, is_bottom=bottom, policy=policy,
+        universe=universe,
+    )
+
+
+def _build_states(specs, universe: BlockUniverse | None) -> list:
+    """Build every parsed state over one universe: ``universe`` extended
+    by any block it lacks, or a sorted universe of the blob's blocks."""
+    blocks: set = set()
+    for spec in specs:
+        _spec_blocks(spec, blocks)
+    if universe is None:
+        universe = BlockUniverse(sorted(blocks))
+    else:
+        universe = universe.extended(sorted(b for b in blocks if b not in universe.index))
+    return [_build_state(spec, universe) for spec in specs]
 
 
 # ----------------------------------------------------------------------
@@ -322,15 +360,16 @@ def encode_state(state) -> bytes:
     return bytes(out)
 
 
-def decode_state(data: bytes):
-    """Inverse of :func:`encode_state`; raises :class:`CodecError` on any
-    malformed, foreign-version or trailing-garbage input."""
+def decode_state(data: bytes, universe: BlockUniverse | None = None):
+    """Inverse of :func:`encode_state`, decoding into ``universe`` (see the
+    module docstring); raises :class:`CodecError` on any malformed,
+    foreign-version or trailing-garbage input."""
     pos = _check_header(data, _TAG_STATE)
     symbols, pos = _SymbolTable.parse(data, pos)
-    state, pos = _parse_state_body(data, pos, symbols)
+    spec, pos = _parse_state_body(data, pos, symbols)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing byte(s) after state")
-    return state
+    return _build_states([spec], universe)[0]
 
 
 def encode_state_map(states: Mapping[str, object]) -> bytes:
@@ -352,19 +391,24 @@ def encode_state_map(states: Mapping[str, object]) -> bytes:
     return bytes(out)
 
 
-def decode_state_map(data: bytes) -> dict[str, object]:
-    """Inverse of :func:`encode_state_map`."""
+def decode_state_map(
+    data: bytes, universe: BlockUniverse | None = None
+) -> dict[str, object]:
+    """Inverse of :func:`encode_state_map`; every state is decoded into
+    one universe (``universe``, or one built for the blob)."""
     pos = _check_header(data, _TAG_STATE_MAP)
     symbols, pos = _SymbolTable.parse(data, pos)
     count, pos = _read_uvarint(data, pos)
-    states: dict[str, object] = {}
+    names: list[str] = []
+    specs: list = []
     for _ in range(count):
         length, pos = _read_uvarint(data, pos)
         if pos + length > len(data):
             raise CodecError("truncated map key")
-        name = data[pos : pos + length].decode("utf-8")
+        names.append(data[pos : pos + length].decode("utf-8"))
         pos += length
-        states[name], pos = _parse_state_body(data, pos, symbols)
+        spec, pos = _parse_state_body(data, pos, symbols)
+        specs.append(spec)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing byte(s) after state map")
-    return states
+    return dict(zip(names, _build_states(specs, universe)))

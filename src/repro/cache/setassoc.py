@@ -23,6 +23,9 @@ blocks, hence any of the sets those blocks map to: each such set is aged
 conservatively (no placeholder refinement — a placeholder's own set
 placement says nothing about which set the real access falls in), while
 sets the access provably cannot reach keep their bounds unchanged.
+
+All per-set states share the program's block universe, so the per-set
+joins are the same planewise operations as the flat domain's.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.cache.abstract import AGE_INFINITY, CacheState
 from repro.cache.config import CacheConfig
 from repro.cache.placement import set_index
 from repro.cache.shadow import ShadowCacheState
-from repro.ir.memory import AccessKind, BlockAccess, MemoryBlock
+from repro.ir.memory import AccessKind, BlockAccess, BlockUniverse, MemoryBlock
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,15 @@ class SetAssocCacheState:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls, config: CacheConfig, use_shadow: bool = False) -> "SetAssocCacheState":
+    def empty(
+        cls,
+        config: CacheConfig,
+        use_shadow: bool = False,
+        universe: BlockUniverse | None = None,
+    ) -> "SetAssocCacheState":
         """Entry state for ``config``: every set an empty cache."""
-        per_set = cls._new_set_state(config.ways, config.policy, use_shadow)
+        flavour = ShadowCacheState if use_shadow else CacheState
+        per_set = flavour.empty(config.ways, policy=config.policy, universe=universe)
         return cls(
             num_sets=config.num_sets,
             ways=config.ways,
@@ -66,9 +75,14 @@ class SetAssocCacheState:
         )
 
     @classmethod
-    def bottom(cls, config: CacheConfig, use_shadow: bool = False) -> "SetAssocCacheState":
+    def bottom(
+        cls,
+        config: CacheConfig,
+        use_shadow: bool = False,
+        universe: BlockUniverse | None = None,
+    ) -> "SetAssocCacheState":
         flavour = ShadowCacheState if use_shadow else CacheState
-        per_set = flavour.bottom(config.ways, policy=config.policy)
+        per_set = flavour.bottom(config.ways, policy=config.policy, universe=universe)
         return cls(
             num_sets=config.num_sets,
             ways=config.ways,
@@ -76,10 +90,18 @@ class SetAssocCacheState:
             is_bottom=True,
         )
 
-    @staticmethod
-    def _new_set_state(ways: int, policy: str, use_shadow: bool):
-        flavour = ShadowCacheState if use_shadow else CacheState
-        return flavour.empty(ways, policy=policy)
+    def in_universe(self, universe: BlockUniverse) -> "SetAssocCacheState":
+        """This state with every per-set state over ``universe``."""
+        return SetAssocCacheState(
+            num_sets=self.num_sets,
+            ways=self.ways,
+            sets=tuple(state.in_universe(universe) for state in self.sets),
+            is_bottom=self.is_bottom,
+        )
+
+    def share_planes(self, memo: dict) -> None:
+        for state in self.sets:
+            state.share_planes(memo)
 
     # ------------------------------------------------------------------
     # Queries
@@ -162,15 +184,28 @@ class SetAssocCacheState:
     # Lattice operations (pointwise over sets)
     # ------------------------------------------------------------------
     def join(self, other: "SetAssocCacheState") -> "SetAssocCacheState":
+        return self.join_changed(other)[0]
+
+    def join_changed(
+        self, other: "SetAssocCacheState"
+    ) -> tuple["SetAssocCacheState", bool]:
+        """``(self ⊔ other, whether that differs from self)``, set by set."""
         self._check_compatible(other)
-        if self.is_bottom:
-            return other
         if other.is_bottom:
-            return self
-        return SetAssocCacheState(
-            num_sets=self.num_sets,
-            ways=self.ways,
-            sets=tuple(a.join(b) for a, b in zip(self.sets, other.sets)),
+            return self, False
+        if self.is_bottom:
+            return other, True
+        sets = []
+        changed = False
+        for mine, theirs in zip(self.sets, other.sets):
+            joined, set_changed = mine.join_changed(theirs)
+            sets.append(joined)
+            changed = changed or set_changed
+        if not changed:
+            return self, False
+        return (
+            SetAssocCacheState(num_sets=self.num_sets, ways=self.ways, sets=tuple(sets)),
+            True,
         )
 
     def widen(self, previous: "SetAssocCacheState") -> "SetAssocCacheState":

@@ -9,68 +9,180 @@ the aging rule: a block ``u`` only ages when enough distinct blocks could
 actually be sitting in front of it (``NYoung(u) >= Age(u)``), which
 prevents the spurious evictions illustrated in Figure 11 and fixed in
 Figure 13.
+
+Both maps are bit-planes over the program's block universe
+(:mod:`repro.cache.planes`): must plane ``k`` holds the blocks whose
+must age is at most ``k``, shadow plane ``k`` those whose shadow age is
+at most ``k``.  The join is a planewise AND of the must planes and a
+planewise OR of the shadow planes; the LRU shadow ageing is a shift of
+the plane list; and ``NYoung`` at must age ``a`` is the population count
+of the new shadow plane ``a``, so the must update walks age levels, not
+blocks.  ``must`` and ``may`` decode the planes into ``{block: age}``
+mappings.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.cache.abstract import AGE_INFINITY
-from repro.ir.memory import AccessKind, BlockAccess, MemoryBlock, placeholder_blocks
+from repro.cache import planes as bitplanes
+from repro.cache.abstract import (
+    AGE_INFINITY,
+    common_universe,
+    covering_universe,
+    locate,
+)
+from repro.ir.memory import (
+    AccessKind,
+    BlockAccess,
+    BlockUniverse,
+    MemoryBlock,
+    placeholder_blocks,
+)
 
 
-@dataclass(frozen=True)
 class ShadowCacheState:
     """Must-ages plus shadow (may) ages.
 
-    ``must`` only stores blocks guaranteed cached (age <= num_lines);
-    ``may`` only stores blocks that may be cached (shadow age <= num_lines).
+    The must planes only hold blocks guaranteed cached (age <=
+    num_lines); the shadow planes only blocks that may be cached (shadow
+    age <= num_lines).  The constructor takes both as mappings
+    (``must=``, ``may=``), with the conventions of
+    :class:`~repro.cache.abstract.CacheState`.
     """
 
-    num_lines: int
-    must: dict[MemoryBlock, int] = field(default_factory=dict)
-    may: dict[MemoryBlock, int] = field(default_factory=dict)
-    is_bottom: bool = False
-    policy: str = "lru"
+    __slots__ = (
+        "num_lines",
+        "policy",
+        "is_bottom",
+        "universe",
+        "must_planes",
+        "may_planes",
+    )
+
+    def __init__(
+        self,
+        num_lines: int,
+        must: Mapping[MemoryBlock, int] | None = None,
+        may: Mapping[MemoryBlock, int] | None = None,
+        is_bottom: bool = False,
+        policy: str = "lru",
+        *,
+        universe: BlockUniverse | None = None,
+    ):
+        must = must or {}
+        may = may or {}
+        universe = covering_universe(universe, [*must, *may])
+        self.num_lines = num_lines
+        self.policy = policy
+        self.is_bottom = is_bottom
+        self.universe = universe
+        self.must_planes = bitplanes.from_ages(must, universe, num_lines)
+        self.may_planes = bitplanes.from_ages(may, universe, num_lines)
+
+    @classmethod
+    def _make(cls, num_lines, policy, universe, must, may, is_bottom=False):
+        state = object.__new__(cls)
+        state.num_lines = num_lines
+        state.policy = policy
+        state.is_bottom = is_bottom
+        state.universe = universe
+        state.must_planes = must
+        state.may_planes = may
+        return state
+
+    def _with(self, must, may, universe: BlockUniverse | None = None) -> "ShadowCacheState":
+        return self._make(
+            self.num_lines, self.policy, universe or self.universe, must, may
+        )
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls, num_lines: int, policy: str = "lru") -> "ShadowCacheState":
-        return cls(num_lines=num_lines, policy=policy)
+    def empty(
+        cls, num_lines: int, policy: str = "lru", universe: BlockUniverse | None = None
+    ) -> "ShadowCacheState":
+        return cls._make(num_lines, policy, universe or BlockUniverse(), (), ())
 
     @classmethod
-    def bottom(cls, num_lines: int, policy: str = "lru") -> "ShadowCacheState":
-        return cls(num_lines=num_lines, is_bottom=True, policy=policy)
+    def bottom(
+        cls, num_lines: int, policy: str = "lru", universe: BlockUniverse | None = None
+    ) -> "ShadowCacheState":
+        return cls._make(num_lines, policy, universe or BlockUniverse(), (), (), True)
+
+    def in_universe(self, universe: BlockUniverse) -> "ShadowCacheState":
+        """This state over ``universe`` (extended by any block the state
+        uses that it lacks)."""
+        if universe is self.universe:
+            return self
+        universe, (must, may) = bitplanes.rehome(
+            [self.must_planes, self.may_planes], self.universe, universe
+        )
+        return self._make(
+            self.num_lines, self.policy, universe, must, may, self.is_bottom
+        )
+
+    def share_planes(self, memo: dict) -> None:
+        """Swap the planes for equal ones shared through ``memo`` (see
+        :func:`repro.analysis.transfer.share_planes`); the value is
+        unchanged."""
+        self.must_planes = bitplanes.shared(self.must_planes, memo)
+        self.may_planes = bitplanes.shared(self.may_planes, memo)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def age(self, block: MemoryBlock) -> int:
+    @property
+    def must(self) -> dict[MemoryBlock, int]:
+        """Must ages as a ``{block: age}`` mapping, youngest first."""
+        return bitplanes.to_ages(self.must_planes, self.universe)
+
+    @property
+    def may(self) -> dict[MemoryBlock, int]:
+        """Shadow ages as a ``{block: age}`` mapping, youngest first."""
+        return bitplanes.to_ages(self.may_planes, self.universe)
+
+    def _age(self, planes, block: MemoryBlock) -> int:
         if self.is_bottom:
             return AGE_INFINITY
-        return self.must.get(block, AGE_INFINITY)
+        position = self.universe.index.get(block)
+        if position is None:
+            return AGE_INFINITY
+        return bitplanes.age_of(planes, 1 << position) or AGE_INFINITY
+
+    def age(self, block: MemoryBlock) -> int:
+        return self._age(self.must_planes, block)
 
     def shadow_age(self, block: MemoryBlock) -> int:
-        if self.is_bottom:
-            return AGE_INFINITY
-        return self.may.get(block, AGE_INFINITY)
+        return self._age(self.may_planes, block)
 
     def must_hit(self, block: MemoryBlock) -> bool:
-        return not self.is_bottom and block in self.must
+        if self.is_bottom or not self.must_planes:
+            return False
+        position = self.universe.index.get(block)
+        return position is not None and (self.must_planes[-1] >> position) & 1 == 1
 
     def must_hit_access(self, access: BlockAccess) -> bool:
-        if self.is_bottom:
+        if self.is_bottom or not self.must_planes:
             return False
-        return all(block in self.must for block in access.blocks)
+        cached = self.must_planes[-1]
+        index = self.universe.index
+        for block in access.blocks:
+            position = index.get(block)
+            if position is None or not (cached >> position) & 1:
+                return False
+        return True
+
+    def _blocks(self, bits: int) -> set[MemoryBlock]:
+        blocks = self.universe.blocks
+        return {blocks[i] for i in bitplanes.iter_bits(bits)}
 
     def cached_blocks(self) -> set[MemoryBlock]:
-        return set(self.must)
+        return self._blocks(bitplanes.bits_of(self.must_planes))
 
     def may_cached_blocks(self) -> set[MemoryBlock]:
-        return set(self.may)
+        return self._blocks(bitplanes.bits_of(self.may_planes))
 
     # ------------------------------------------------------------------
     # Transfer
@@ -79,12 +191,22 @@ class ShadowCacheState:
         if self.is_bottom:
             return self
         if access.kind is AccessKind.CONCRETE:
-            return self.access_block(access.concrete_block)
+            return self.access_block(access.blocks[0])
         if access.kind is AccessKind.SECRET:
             # Fully conservative: the side-channel verdict about this access
             # must never benefit from optimistic assumptions.
             return self.access_unknown(access.blocks)
         return self.access_unknown_array(access.symbol, access.blocks)
+
+    def _mask(self, blocks) -> tuple[BlockUniverse, int]:
+        """The universe holding ``blocks`` (extended if needed) and their
+        bits."""
+        universe = covering_universe(self.universe, blocks)
+        index = universe.index
+        bits = 0
+        for block in blocks:
+            bits |= 1 << index[block]
+        return universe, bits
 
     def access_block(self, block: MemoryBlock) -> "ShadowCacheState":
         """Appendix B transfer for a statically known block (LRU), or the
@@ -96,67 +218,76 @@ class ShadowCacheState:
         is not applied to FIFO."""
         if self.is_bottom:
             return self
+        universe, bit = locate(self.universe, block)
+        must = self.must_planes
+        may = self.may_planes
+        num_lines = self.num_lines
         if self.policy == "fifo":
-            if block in self.must:
+            if must and must[-1] & bit:
                 return self
-            new_must = {}
-            for other, age in self.must.items():
-                aged = age + 1
-                if aged <= self.num_lines:
-                    new_must[other] = aged
-            new_must[block] = self.num_lines
-            new_may = dict(self.may)
-            new_may[block] = 1
-            return ShadowCacheState(
-                num_lines=self.num_lines,
-                must=new_must,
-                may=new_may,
-                policy=self.policy,
-            )
-        old_must_age = self.age(block)
-        old_shadow_age = self.shadow_age(block)
+            new_must = bitplanes.at_age(bitplanes.shift(must, num_lines), bit, num_lines)
+            return self._with(new_must, bitplanes.with_bits(may, bit), universe)
 
-        # Step 1: update the shadow (may) component.  ``dict(d)`` clones at
-        # C speed without re-hashing any key; only the entries that actually
-        # age (shadow age <= the accessed block's old shadow age — none
-        # when re-touching the youngest line, the hot case in loops) pay a
-        # per-key update.  The accessed block's own entry is overwritten
-        # with 1 at the end, which also undoes its aging-out, so the
-        # result is exactly the rebuilt-from-scratch dict up to key order.
-        new_may = dict(self.may)
-        for other, shadow_age in self.may.items():
-            if shadow_age <= old_shadow_age:
-                aged = shadow_age + 1
-                if aged <= self.num_lines:
-                    new_may[other] = aged
-                else:
-                    del new_may[other]
-        new_may[block] = 1
+        if may and may[0] == bit and must and must[0] & bit:
+            # Re-touching the line that is youngest on every path (the hot
+            # case in loops): nothing else can age.
+            return self
 
-        # Step 2: update the must component using NYoung computed on the
-        # *new* shadow ages.  NYoung(u) is "how many blocks may sit at age
-        # <= Age(u)"; a sorted list of the new shadow ages turns each query
-        # into a binary search instead of a scan over the whole may-set.
-        # Only entries strictly younger than the accessed block's old must
-        # age can change (the block's own entry is == old, never <), so the
-        # clone-then-update shape applies here too.
-        sorted_shadow_ages = sorted(new_may.values())
-        new_must = dict(self.must)
-        for other, must_age in self.must.items():
-            if must_age < old_must_age:
-                n_young = bisect_right(sorted_shadow_ages, must_age)
-                if new_may.get(other, AGE_INFINITY) <= must_age:
-                    n_young -= 1  # a block is never younger than itself
-                if n_young >= must_age:
-                    aged = must_age + 1
-                    if aged <= self.num_lines:
-                        new_must[other] = aged
-                    else:
-                        del new_must[other]
-        new_must[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
+        # Step 1: the shadow (may) component.  Every block whose shadow
+        # age is at most the accessed block's old shadow age ``s`` ages by
+        # one: the levels up to ``s`` shift up, dropping plane ``s``; the
+        # levels above keep their sets (a block at ``s`` lands on level
+        # ``s + 1``, which may have to be created).  The accessed block
+        # then joins every level: its shadow age is 1.
+        shadow = bitplanes.age_of(may, bit)
+        if shadow == 0:
+            younger, older = may[: num_lines - 1], ()
+        else:
+            younger = may[: shadow - 1]
+            if shadow < len(may):
+                older = may[shadow:]
+            else:
+                older = (may[-1],) if shadow < num_lines else ()
+        new_may = bitplanes.trim(
+            (bit,) + tuple([plane | bit for plane in younger]) + older
         )
+
+        # Step 2: the must component, using NYoung computed on the *new*
+        # shadow ages.  Only blocks strictly younger than the accessed
+        # block's old must age can change.  The blocks at must age ``k``
+        # are ``P[k] - P[k-1]``; each sits in new shadow plane ``k`` or
+        # not, NYoung(u) is that plane's population ``c`` less one when
+        # ``u`` is in it (a block is never younger than itself), and
+        # ``u`` ages when NYoung(u) >= k.  So with ``c > k`` the whole
+        # level ages and plane ``k`` becomes ``P[k-1]``; with ``c == k``
+        # only the level's blocks outside the shadow plane age, leaving
+        # ``P[k-1] | (P[k] & shadow plane)``; with ``c < k`` nothing
+        # ages.  Aged blocks reach plane ``k + 1`` unchanged (they were
+        # already in it), and the accessed block joins every level.
+        old_age = bitplanes.age_of(must, bit)
+        if old_age == 0:
+            levels = len(must)
+            # The oldest level may age into a plane that does not exist yet.
+            tail = (must[-1] | bit,) if 0 < levels < num_lines else ()
+        else:
+            levels = old_age - 1
+            tail = must[levels:]
+        young = new_may[:levels]
+        if len(young) < levels:
+            young += (new_may[-1],) * (levels - len(young))
+        head = [
+            (plane if count < age else previous if count > age else previous | (plane & shadow))
+            | bit
+            for age, plane, previous, shadow, count in zip(
+                range(1, levels + 1),
+                must,
+                (0,) + must[: levels - 1],
+                young,
+                map(int.bit_count, young),
+            )
+        ]
+        new_must = bitplanes.trim(head + list(tail)) if head or tail else (bit,)
+        return self._with(new_must, new_may, universe)
 
     def access_unknown(self, candidate_blocks: tuple[MemoryBlock, ...]) -> "ShadowCacheState":
         """Access whose target is one of ``candidate_blocks`` but unknown.
@@ -168,16 +299,11 @@ class ShadowCacheState:
         """
         if self.is_bottom:
             return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            aged = age + 1
-            if aged <= self.num_lines:
-                new_must[block] = aged
-        new_may = dict(self.may)
-        for block in candidate_blocks:
-            new_may[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
+        universe, candidates = self._mask(candidate_blocks)
+        return self._with(
+            bitplanes.shift(self.must_planes, self.num_lines),
+            bitplanes.with_bits(self.may_planes, candidates),
+            universe,
         )
 
     def access_unknown_array(
@@ -198,43 +324,32 @@ class ShadowCacheState:
             return self
         placeholders = placeholder_blocks(symbol, len(candidate_blocks))
         for placeholder in placeholders:
-            if placeholder not in self.must:
+            if not self.must_hit(placeholder):
                 state = self.access_block(placeholder)
-                new_may = dict(state.may)
-                for block in candidate_blocks:
-                    new_may[block] = 1
-                return ShadowCacheState(
-                    num_lines=self.num_lines,
-                    must=dict(state.must),
-                    may=new_may,
-                    policy=self.policy,
+                universe, candidates = state._mask(candidate_blocks)
+                return self._with(
+                    state.must_planes,
+                    bitplanes.with_bits(state.may_planes, candidates),
+                    universe,
                 )
         if self.policy == "fifo":
             # The age-bound refinement below reasons about LRU aging (a
             # block only ages when a younger line is inserted in front of
             # it); under FIFO fall back to the plain conservative rule.
             return self.access_unknown(candidate_blocks)
-        bound = max(self.must[placeholder] for placeholder in placeholders)
-        placeholder_set = set(placeholders)
-        new_must = dict(self.must)
-        for block, age in self.must.items():
-            if block in placeholder_set:
-                # The array's own footprint does not grow by re-accessing it;
-                # keeping the placeholder bounds is what lets Table 1's loop
-                # converge with decis_lev[1*]/[2*] still resident.
-                continue
-            if self.may.get(block, AGE_INFINITY) > bound:
-                continue
-            aged = age + 1
-            if aged <= self.num_lines:
-                new_must[block] = aged
-            else:
-                del new_must[block]
-        new_may = dict(self.may)
-        for block in candidate_blocks:
-            new_may[block] = 1
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
+        must = self.must_planes
+        bound = max(self.age(placeholder) for placeholder in placeholders)
+        _, footprint = self._mask(placeholders)
+        # The array's own footprint does not grow by re-accessing it;
+        # keeping the placeholder bounds is what lets Table 1's loop
+        # converge with decis_lev[1*]/[2*] still resident.  Every other
+        # block ages unless its shadow age already exceeds the bound.
+        aging = must[-1] & ~footprint & bitplanes.plane_at(self.may_planes, bound)
+        universe, candidates = self._mask(candidate_blocks)
+        return self._with(
+            bitplanes.age_bits(must, aging, self.num_lines),
+            bitplanes.with_bits(self.may_planes, candidates),
+            universe,
         )
 
     # ------------------------------------------------------------------
@@ -242,23 +357,25 @@ class ShadowCacheState:
     # ------------------------------------------------------------------
     def join(self, other: "ShadowCacheState") -> "ShadowCacheState":
         """Must: pointwise max (intersection).  May: pointwise min (union)."""
+        return self.join_changed(other)[0]
+
+    def join_changed(
+        self, other: "ShadowCacheState"
+    ) -> tuple["ShadowCacheState", bool]:
+        """``(self ⊔ other, whether that differs from self)`` in one pass
+        (the join is above ``self``, so "changed" is plane inequality)."""
         self._check_compatible(other)
-        if self.is_bottom:
-            return other
         if other.is_bottom:
-            return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            other_age = other.must.get(block)
-            if other_age is not None:
-                new_must[block] = max(age, other_age)
-        new_may: dict[MemoryBlock, int] = dict(other.may)
-        for block, age in self.may.items():
-            existing = new_may.get(block)
-            new_may[block] = age if existing is None else min(age, existing)
-        return ShadowCacheState(
-            num_lines=self.num_lines, must=new_must, may=new_may, policy=self.policy
-        )
+            return self, False
+        if self.is_bottom:
+            return other, True
+        if other.universe is not self.universe:
+            self, other = common_universe(self, other)
+        must = bitplanes.meet(self.must_planes, other.must_planes)
+        may = bitplanes.union(self.may_planes, other.may_planes)
+        if must == self.must_planes and may == self.may_planes:
+            return self, False
+        return self._with(must, may), True
 
     def widen(self, previous: "ShadowCacheState") -> "ShadowCacheState":
         """Widen the must component (growing ages jump to infinity); the may
@@ -267,20 +384,13 @@ class ShadowCacheState:
         self._check_compatible(previous)
         if previous.is_bottom or self.is_bottom:
             return self
-        new_must: dict[MemoryBlock, int] = {}
-        for block, age in self.must.items():
-            previous_age = previous.must.get(block)
-            if previous_age is None:
-                new_must[block] = age
-            elif age > previous_age:
-                continue
-            else:
-                new_must[block] = age
-        return ShadowCacheState(
-            num_lines=self.num_lines,
-            must=new_must,
-            may=dict(self.may),
-            policy=self.policy,
+        if previous.universe is not self.universe:
+            self, previous = common_universe(self, previous)
+        grown = bitplanes.grown(self.must_planes, previous.must_planes)
+        if not grown:
+            return self
+        return self._with(
+            bitplanes.without_bits(self.must_planes, grown), self.may_planes
         )
 
     def leq(self, other: "ShadowCacheState") -> bool:
@@ -289,13 +399,11 @@ class ShadowCacheState:
             return True
         if other.is_bottom:
             return False
-        for block, other_age in other.must.items():
-            if self.must.get(block, AGE_INFINITY) > other_age:
-                return False
-        for block, age in self.may.items():
-            if other.may.get(block, AGE_INFINITY) > age:
-                return False
-        return True
+        if other.universe is not self.universe:
+            self, other = common_universe(self, other)
+        return bitplanes.bounds(self.must_planes, other.must_planes) and bitplanes.bounds(
+            other.may_planes, self.may_planes
+        )
 
     def _check_compatible(self, other: "ShadowCacheState") -> None:
         if self.num_lines != other.num_lines or self.policy != other.policy:
@@ -311,13 +419,18 @@ class ShadowCacheState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShadowCacheState):
             return NotImplemented
-        return (
-            self.num_lines == other.num_lines
-            and self.is_bottom == other.is_bottom
-            and self.policy == other.policy
-            and self.must == other.must
-            and self.may == other.may
-        )
+        if (
+            self.num_lines != other.num_lines
+            or self.is_bottom != other.is_bottom
+            or self.policy != other.policy
+        ):
+            return False
+        if self.universe.same_as(other.universe):
+            return (
+                self.must_planes == other.must_planes
+                and self.may_planes == other.may_planes
+            )
+        return self.must == other.must and self.may == other.may
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(
@@ -329,6 +442,27 @@ class ShadowCacheState:
                 frozenset(self.may.items()),
             )
         )
+
+    # Pickles keep the pre-rewrite dataclass shape (see CacheState).
+    def __getstate__(self) -> dict:
+        return {
+            "num_lines": self.num_lines,
+            "must": self.must,
+            "may": self.may,
+            "is_bottom": self.is_bottom,
+            "policy": self.policy,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        fresh = type(self)(
+            state["num_lines"],
+            state["must"],
+            state["may"],
+            state["is_bottom"],
+            state["policy"],
+        )
+        for name in self.__slots__:
+            setattr(self, name, getattr(fresh, name))
 
     def __repr__(self) -> str:
         if self.is_bottom:

@@ -200,6 +200,9 @@ def snapshot_from_analysis(
 def warm_start_from_snapshot(snapshot: AnalysisSnapshot):
     """Decode a snapshot into the solver's :class:`WarmStartData`.
 
+    All states of a blob decode over one universe; the solver re-homes
+    the ones it seeds onto its own (see :meth:`CacheState.in_universe`).
+
     The decoded value is memoised on the snapshot itself (and thus evicted
     with it): an interactive loop warm-starting many candidate edits from
     one baseline decodes the blobs once.  Sharing is safe because the

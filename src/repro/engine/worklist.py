@@ -100,6 +100,19 @@ class WideningPolicy:
     delay: int = DEFAULT_WIDENING_DELAY
     widenings: int = 0
 
+    def join(self, target: str, visits: int, current, value):
+        """``(current ⊔ value, changed)``, widened at ``target`` if due.
+
+        Both solvers store the result when ``changed``.  Off the widening
+        points this is the domain's fused ``join_changed``; at a due
+        point the join is widened against ``current`` — still above it,
+        so it changed iff it is not below it.
+        """
+        if target not in self.points or visits < self.delay:
+            return current.join_changed(value)
+        joined = self.apply(target, visits, current, current.join(value))
+        return joined, not joined.leq(current)
+
     def apply(self, target: str, visits: int, previous, joined):
         """Widen ``joined`` against ``previous`` at ``target`` if due.
 

@@ -4,9 +4,20 @@ The speculative VCFG construction needs post-dominators to find the
 control-flow merge point of a branch (where Just-in-Time merging converts
 the speculative state back into the normal state), and natural-loop
 detection needs dominators to identify back edges.
+
+Immediate (post)dominators are computed with the Cooper-Harvey-Kennedy
+algorithm ("A Simple, Fast Dominance Algorithm"): iterate over reverse
+postorder, intersecting the idom chains of processed predecessors until
+nothing changes.  Each call builds its own predecessor map once, so the
+cost is near-linear in the CFG's size; the map is deliberately not cached
+on the CFG, which would need invalidating whenever a terminator is
+patched.  Dominator *sets* are derived from the idom chains only where a
+caller asks for them.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 from repro.ir.cfg import CFG
 
@@ -15,165 +26,204 @@ from repro.ir.cfg import CFG
 VIRTUAL_EXIT = "__virtual_exit__"
 
 
-def _iterative_dominators(
-    nodes: list[str],
-    entry: str,
-    predecessors: dict[str, list[str]],
-) -> dict[str, set[str]]:
-    """Classic iterative dominator-set computation."""
-    all_nodes = set(nodes)
-    dom: dict[str, set[str]] = {node: set(all_nodes) for node in nodes}
-    dom[entry] = {entry}
+def predecessor_map(cfg: CFG) -> dict[str, list[str]]:
+    """``{block: predecessors}`` over every block of ``cfg`` (reachable or
+    not), each list in block-insertion order — the order
+    :meth:`CFG.predecessors` returns, built in one pass."""
+    preds: dict[str, list[str]] = {name: [] for name in cfg.blocks}
+    for name in cfg.blocks:
+        for successor in cfg.successors(name):
+            targets = preds.get(successor)
+            if targets is not None and (not targets or targets[-1] != name):
+                targets.append(name)
+    return preds
+
+
+def _reverse_postorder(root: str, successors: Callable[[str], Iterable[str]]) -> list[str]:
+    """Nodes reachable from ``root`` in reverse postorder (iterative DFS)."""
+    visited = {root}
+    postorder: list[str] = []
+    stack = [(root, iter(successors(root)))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in visited:
+                visited.add(child)
+                stack.append((child, iter(successors(child))))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
+def _idoms(
+    root: str,
+    successors: Callable[[str], Iterable[str]],
+    predecessors: Callable[[str], Iterable[str]],
+) -> tuple[dict[str, str], dict[str, int]]:
+    """Cooper-Harvey-Kennedy over the graph reachable from ``root``.
+
+    Returns ``(idom, rpo_index)``; ``idom[root] == root``.  Predecessors
+    outside the reachable graph are ignored.
+    """
+    order = _reverse_postorder(root, successors)
+    index = {node: position for position, node in enumerate(order)}
+    idom: dict[str, str] = {root: root}
     changed = True
     while changed:
         changed = False
-        for node in nodes:
-            if node == entry:
-                continue
-            preds = [pred for pred in predecessors.get(node, []) if pred in all_nodes]
-            if preds:
-                new_dom = set(all_nodes)
-                for pred in preds:
-                    new_dom &= dom[pred]
-            else:
-                new_dom = set()
-            new_dom.add(node)
-            if new_dom != dom[node]:
-                dom[node] = new_dom
+        for node in order[1:]:
+            new_idom = None
+            for pred in predecessors(node):
+                if pred not in idom:
+                    continue
+                if new_idom is None:
+                    new_idom = pred
+                    continue
+                new_idom = _intersect(pred, new_idom, idom, index)
+            if new_idom is not None and idom.get(node) != new_idom:
+                idom[node] = new_idom
                 changed = True
-    return dom
+    return idom, index
+
+
+def _intersect(left: str, right: str, idom: dict[str, str], index: dict[str, int]) -> str:
+    """The nearest common ancestor of two nodes in the idom tree: walk the
+    finger that sits later in reverse postorder up until they meet."""
+    while left != right:
+        while index[left] > index[right]:
+            left = idom[left]
+        while index[right] > index[left]:
+            right = idom[right]
+    return left
+
+
+def _chain(node: str, idom: dict[str, str]) -> set[str]:
+    """``node`` plus every node on its idom chain up to the root."""
+    chain = {node}
+    parent = idom[node]
+    while parent != node:
+        chain.add(parent)
+        node, parent = parent, idom[parent]
+    return chain
+
+
+class DominatorTree:
+    """Immediate dominators of the blocks reachable from the entry.
+
+    ``predecessors`` may pass in a map from :func:`predecessor_map` that
+    the caller needs anyway (natural-loop detection does).
+    """
+
+    def __init__(self, cfg: CFG, predecessors: dict[str, list[str]] | None = None):
+        preds = predecessor_map(cfg) if predecessors is None else predecessors
+        self.idom, self._index = _idoms(cfg.entry, cfg.successors, preds.__getitem__)
+
+    def dominates(self, dominator: str, node: str) -> bool:
+        """True when every path from the entry to ``node`` passes
+        ``dominator`` (a node dominates itself).  A parent precedes its
+        children in reverse postorder, so the walk up ``node``'s chain
+        stops as soon as it passes ``dominator``'s position."""
+        index, idom = self._index, self.idom
+        target = index[dominator]
+        while index[node] > target:
+            node = idom[node]
+        return node == dominator
 
 
 def compute_dominators(cfg: CFG) -> dict[str, set[str]]:
     """Return, for every reachable block, the set of blocks dominating it."""
-    nodes = cfg.reachable_blocks()
-    predecessors = {node: cfg.predecessors(node) for node in nodes}
-    return _iterative_dominators(nodes, cfg.entry, predecessors)
+    idom = DominatorTree(cfg).idom
+    return {node: _chain(node, idom) for node in cfg.reachable_blocks()}
 
 
 def immediate_dominators(cfg: CFG) -> dict[str, str | None]:
-    """Return the immediate dominator of every reachable block.
+    """Return the immediate dominator of every reachable block (None for
+    the entry)."""
+    idom = DominatorTree(cfg).idom
+    return {
+        node: (None if idom[node] == node else idom[node])
+        for node in cfg.reachable_blocks()
+    }
 
-    The strict dominators of a node are totally ordered by dominance; the
-    immediate dominator is the *nearest* one — the candidate that every
-    other strict dominator dominates.
+
+class _PostDominance:
+    """Immediate postdominators over the *exit-reaching* subgraph.
+
+    Blocks that cannot reach any return (e.g. inside an infinite loop)
+    are excluded: they have no postdominator chain.  The reversed graph
+    is rooted at :data:`VIRTUAL_EXIT`, which every return block feeds.
     """
-    dom = compute_dominators(cfg)
-    idom: dict[str, str | None] = {}
-    for node, dominators in dom.items():
-        strict = dominators - {node}
-        idom[node] = _nearest_in_chain(strict, dom)
-    return idom
 
+    def __init__(self, cfg: CFG):
+        reachable = cfg.reachable_blocks()
+        node_set = set(reachable)
+        preds = predecessor_map(cfg)
+        exits = [node for node in cfg.exit_blocks() if node in node_set]
+        self.reachable = reachable
+        exit_set = set(exits)
 
-def _nearest_in_chain(
-    candidates: set[str], relation: dict[str, set[str]]
-) -> str | None:
-    """The element of ``candidates`` that all other candidates (strictly)
-    relate to — i.e. the nearest strict (post)dominator, the bottom of the
-    chain.  ``relation[x]`` is the set of nodes (post)dominating ``x``.
+        def reverse_successors(node: str) -> Iterable[str]:
+            if node == VIRTUAL_EXIT:
+                return exits
+            return [pred for pred in preds[node] if pred in node_set]
 
-    Returns None when ``candidates`` is empty or does not form a chain
-    (which cannot happen for the (post)dominator sets of a node computed
-    over a graph where every node reaches the (virtual) root).
-    """
-    for candidate in sorted(candidates):
-        if all(
-            other in relation[candidate]
-            for other in candidates
-            if other != candidate
-        ):
-            return candidate
-    return None
+        def reverse_predecessors(node: str) -> Iterable[str]:
+            successors = cfg.successors(node)
+            if node in exit_set:
+                return [*successors, VIRTUAL_EXIT]
+            return successors
+
+        self.ipdom, self.index = _idoms(
+            VIRTUAL_EXIT, reverse_successors, reverse_predecessors
+        )
+
+    def can_reach_exit(self, node: str) -> bool:
+        return node in self.ipdom
+
+    def nearest_real(self, node: str) -> str | None:
+        """The immediate postdominator of ``node``, None for the virtual
+        exit or a block that cannot reach it."""
+        if node not in self.ipdom:
+            return None
+        parent = self.ipdom[node]
+        return None if parent == VIRTUAL_EXIT else parent
+
+    def common(self, left: str, right: str) -> str:
+        """The nearest node postdominating both (the chains' meeting point)."""
+        return _intersect(left, right, self.ipdom, self.index)
 
 
 def compute_postdominators(cfg: CFG) -> dict[str, set[str]]:
     """Return, for every reachable block, the set of blocks post-dominating it.
 
     A virtual exit node (``VIRTUAL_EXIT``) is used to join all return
-    blocks; it appears in the result sets but is not a real block.
+    blocks; it appears in the result sets but is not a real block.  A
+    block that cannot reach any return is vacuously postdominated by
+    every node.
     """
-    nodes = cfg.reachable_blocks()
-    exits = [node for node in cfg.exit_blocks() if node in nodes]
-    # Build the reverse graph including the virtual exit.
-    reverse_succ: dict[str, list[str]] = {node: [] for node in nodes}
-    reverse_succ[VIRTUAL_EXIT] = []
-    for node in nodes:
-        for successor in cfg.successors(node):
-            if successor in reverse_succ:
-                reverse_succ[successor].append(node)
-    for exit_node in exits:
-        reverse_succ[exit_node].append(VIRTUAL_EXIT)
-    # In the reversed graph "predecessors" are the original successors plus
-    # the virtual-exit wiring above.
-    all_nodes = nodes + [VIRTUAL_EXIT]
-    predecessors_in_reverse: dict[str, list[str]] = {node: [] for node in all_nodes}
-    for node in nodes:
-        successors = list(cfg.successors(node))
-        if node in exits:
-            successors.append(VIRTUAL_EXIT)
-        predecessors_in_reverse[node] = successors
-    predecessors_in_reverse[VIRTUAL_EXIT] = []
-    return _iterative_dominators(all_nodes, VIRTUAL_EXIT, predecessors_in_reverse)
-
-
-def _exit_reaching_postdominators(cfg: CFG) -> tuple[dict[str, set[str]], set[str]]:
-    """Postdominator sets computed over the *exit-reaching* subgraph only.
-
-    Returns ``(pdom, can_reach_exit)``.  Blocks that cannot reach any
-    return are excluded from the computation entirely: running the
-    iterative algorithm over the full graph leaves the doomed blocks'
-    sets at their ``all_nodes`` initialisation, and those polluted sets
-    do not form chains, so any selection from them (such as the
-    historical ``sorted(candidates)[0]`` fallback) returns an arbitrary
-    block that need not postdominate anything.
-    """
-    nodes = cfg.reachable_blocks()
-    node_set = set(nodes)
-    exits = [node for node in cfg.exit_blocks() if node in node_set]
-    # Backward reachability: which blocks can reach an exit at all.
-    can_reach_exit: set[str] = set(exits)
-    stack = list(exits)
-    while stack:
-        node = stack.pop()
-        for predecessor in cfg.predecessors(node):
-            if predecessor in node_set and predecessor not in can_reach_exit:
-                can_reach_exit.add(predecessor)
-                stack.append(predecessor)
-    sub_nodes = [node for node in nodes if node in can_reach_exit]
-    all_nodes = sub_nodes + [VIRTUAL_EXIT]
-    predecessors_in_reverse: dict[str, list[str]] = {VIRTUAL_EXIT: []}
-    for node in sub_nodes:
-        successors = [s for s in cfg.successors(node) if s in can_reach_exit]
-        if node in exits:
-            successors.append(VIRTUAL_EXIT)
-        predecessors_in_reverse[node] = successors
-    pdom = _iterative_dominators(all_nodes, VIRTUAL_EXIT, predecessors_in_reverse)
-    return pdom, can_reach_exit
+    post = _PostDominance(cfg)
+    every_node = set(post.reachable) | {VIRTUAL_EXIT}
+    result = {
+        node: _chain(node, post.ipdom) if post.can_reach_exit(node) else set(every_node)
+        for node in post.reachable
+    }
+    result[VIRTUAL_EXIT] = {VIRTUAL_EXIT}
+    return result
 
 
 def postdominator_tree(cfg: CFG) -> dict[str, str | None]:
     """Return the immediate postdominator of every reachable block.
 
-    Computed over the exit-reaching subgraph (see
-    :func:`_exit_reaching_postdominators`): a block that cannot reach any
-    return (e.g. inside an infinite loop) has no postdominators at all
-    and maps to None.
-
-    For exit-reaching blocks the strict postdominators form a chain and
-    the immediate one — the *nearest*, i.e. the first control-flow point
-    every path from the block to the exit must cross — is the candidate
-    that every other candidate postdominates.
+    Computed over the exit-reaching subgraph: a block that cannot reach
+    any return (e.g. inside an infinite loop) has no postdominators at
+    all and maps to None, as does a block whose only strict
+    postdominator is the virtual exit.
     """
-    pdom, can_reach_exit = _exit_reaching_postdominators(cfg)
-    tree: dict[str, str | None] = {}
-    for node in cfg.reachable_blocks():
-        if node not in can_reach_exit:
-            tree[node] = None
-            continue
-        candidates = pdom[node] - {node, VIRTUAL_EXIT}
-        tree[node] = _nearest_in_chain(candidates, pdom)
-    return tree
+    post = _PostDominance(cfg)
+    return {node: post.nearest_real(node) for node in post.reachable}
 
 
 def immediate_postdominator(cfg: CFG, block: str) -> str | None:
@@ -187,17 +237,16 @@ def immediate_postdominator(cfg: CFG, block: str) -> str | None:
 
 
 def common_postdominator(cfg: CFG, left: str, right: str) -> str | None:
-    """Return the nearest block post-dominating both ``left`` and ``right``.
+    """Return the nearest block post-dominating both ``left`` and ``right``,
+    other than ``left`` and ``right`` themselves.
 
-    None when either block cannot reach an exit (its postdominator set is
-    empty) or when the only common postdominator is the virtual exit.
-    The common postdominators are the intersection of two chains and so
-    form a chain themselves; no arbitrary fallback is needed.
+    None when either block cannot reach an exit or when the only common
+    postdominator is the virtual exit.
     """
-    pdom, can_reach_exit = _exit_reaching_postdominators(cfg)
-    if left not in can_reach_exit or right not in can_reach_exit:
+    post = _PostDominance(cfg)
+    if not (post.can_reach_exit(left) and post.can_reach_exit(right)):
         return None
-    common = (pdom[left] & pdom[right]) - {VIRTUAL_EXIT, left, right}
-    if not common:
-        return None
-    return _nearest_in_chain(common, pdom)
+    meet = post.common(left, right)
+    while meet in (left, right):
+        meet = post.ipdom[meet]
+    return None if meet == VIRTUAL_EXIT else meet

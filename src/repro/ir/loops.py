@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.cfg import CFG
-from repro.ir.dominators import compute_dominators
+from repro.ir.dominators import DominatorTree, predecessor_map
 from repro.ir.instructions import BinOp, CondBranch, Const, Copy, Load, Temp
 
 
@@ -33,19 +33,22 @@ class Loop:
 
 def find_natural_loops(cfg: CFG) -> list[Loop]:
     """Find all natural loops of ``cfg`` (one per header, back edges merged)."""
-    dom = compute_dominators(cfg)
+    predecessors = predecessor_map(cfg)
+    dominators = DominatorTree(cfg, predecessors)
     loops: dict[str, Loop] = {}
     for source in cfg.reachable_blocks():
         for target in cfg.successors(source):
-            if target in dom.get(source, set()):
+            if dominators.dominates(target, source):
                 # source -> target is a back edge; target is the loop header.
                 loop = loops.setdefault(target, Loop(header=target, blocks={target}))
                 loop.back_edges.append((source, target))
-                _collect_loop_body(cfg, loop, source)
+                _collect_loop_body(predecessors, loop, source)
     return list(loops.values())
 
 
-def _collect_loop_body(cfg: CFG, loop: Loop, latch: str) -> None:
+def _collect_loop_body(
+    predecessors: dict[str, list[str]], loop: Loop, latch: str
+) -> None:
     """Add to ``loop`` every block that reaches ``latch`` without passing
     through the header (the standard natural-loop body computation)."""
     stack = [latch]
@@ -54,7 +57,7 @@ def _collect_loop_body(cfg: CFG, loop: Loop, latch: str) -> None:
         if block in loop.blocks:
             continue
         loop.blocks.add(block)
-        for pred in cfg.predecessors(block):
+        for pred in predecessors[block]:
             if pred not in loop.blocks:
                 stack.append(pred)
 

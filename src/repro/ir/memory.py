@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.ir.instructions import MemoryRef
@@ -38,14 +39,14 @@ class MemoryBlock:
     symbol: str
     index: int = 0
 
-    # Blocks are the key type of every abstract cache state's must/may
-    # maps; the analysis hashes and compares them millions of times per
-    # fixpoint.  The handwritten dunders below are semantically identical
-    # to the dataclass-generated ones but skip the per-call field-tuple
-    # allocation; the hash is precomputed once at construction (blocks
-    # are built far more rarely than they are looked up).  Str hashes are
-    # per-process (PYTHONHASHSEED), so ``__reduce__`` rebuilds from the
-    # fields and never ships the cached value across a process boundary.
+    # Blocks are looked up once per access (to find their bit in the
+    # program's :class:`BlockUniverse`) and compared whenever universes
+    # are matched.  The handwritten dunders below are semantically
+    # identical to the dataclass-generated ones but skip the per-call
+    # field-tuple allocation; the hash is precomputed once at
+    # construction.  Str hashes are per-process (PYTHONHASHSEED), so
+    # ``__reduce__`` rebuilds from the fields and never ships the cached
+    # value across a process boundary.
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_hash", hash(self.symbol) ^ (self.index * -0x61C88647)
@@ -79,6 +80,71 @@ class MemoryBlock:
 def placeholder_blocks(symbol: str, num_blocks: int) -> list[MemoryBlock]:
     """The symbolic placeholder lines of an object (one per real block)."""
     return [MemoryBlock(symbol, -(k + 1)) for k in range(num_blocks)]
+
+
+class BlockUniverse:
+    """Dense bit positions for the memory blocks of one analysed program.
+
+    The abstract cache states hold sets of blocks as ``int`` bitsets
+    ("bit-planes"); bit ``i`` stands for ``blocks[i]``.  A universe is
+    immutable: :meth:`extended` returns a new one with blocks appended,
+    which keeps every existing bit position valid.
+
+    Universes are built per program from the blocks its accesses can
+    touch (:func:`repro.analysis.transfer.block_universe`), never
+    process-wide: the width of every plane is the program's accessed
+    block count, and a daemon serving many programs never accumulates
+    them.  Two universes with the same block sequence are
+    interchangeable (:meth:`same_as`); states over universes that differ
+    are re-packed before their planes meet.
+    """
+
+    __slots__ = ("blocks", "index", "_key", "_last_extension")
+
+    def __init__(self, blocks=()):
+        self.blocks: tuple[MemoryBlock, ...] = tuple(blocks)
+        self.index: dict[MemoryBlock, int] = {
+            block: position for position, block in enumerate(self.blocks)
+        }
+        if len(self.index) != len(self.blocks):
+            raise ValueError("a block universe lists every block once")
+        self._key: tuple[tuple[str, int], ...] | None = None
+        self._last_extension: tuple | None = None
+
+    @property
+    def key(self) -> tuple[tuple[str, int], ...]:
+        """Field tuple of the block sequence: compares without calling
+        MemoryBlock dunders, and equally across processes."""
+        if self._key is None:
+            self._key = tuple((block.symbol, block.index) for block in self.blocks)
+        return self._key
+
+    def same_as(self, other: "BlockUniverse") -> bool:
+        """True when bit positions mean the same blocks in both."""
+        return self is other or (
+            len(self.blocks) == len(other.blocks) and self.key == other.key
+        )
+
+    def extended(self, blocks) -> "BlockUniverse":
+        """This universe with the blocks it lacks appended, in order.
+
+        The last extension is remembered, so states that each need the
+        same missing blocks end up over one universe object.
+        """
+        missing = tuple(
+            block for block in dict.fromkeys(blocks) if block not in self.index
+        )
+        if not missing:
+            return self
+        last = self._last_extension
+        if last is not None and last[0] == missing:
+            return last[1]
+        universe = BlockUniverse(self.blocks + missing)
+        self._last_extension = (missing, universe)
+        return universe
+
+    def __repr__(self) -> str:
+        return f"BlockUniverse({len(self.blocks)} blocks)"
 
 
 class AccessKind(Enum):
@@ -121,8 +187,15 @@ class ObjectLayout:
     def name(self) -> str:
         return self.symbol.name
 
+    @cached_property
+    def block_tuple(self) -> tuple[MemoryBlock, ...]:
+        """The object's blocks, built once: every resolved access to a
+        block shares its instance, so block lookups in the analysis'
+        universe (:class:`BlockUniverse`) match by identity."""
+        return tuple(MemoryBlock(self.symbol.name, index) for index in range(self.num_blocks))
+
     def blocks(self) -> list[MemoryBlock]:
-        return [MemoryBlock(self.symbol.name, index) for index in range(self.num_blocks)]
+        return list(self.block_tuple)
 
 
 @dataclass
@@ -217,7 +290,7 @@ class MemoryLayout:
 
     def _resolve_uncached(self, ref: MemoryRef) -> BlockAccess:
         obj = self.object(ref.symbol)
-        all_blocks = tuple(obj.blocks())
+        all_blocks = obj.block_tuple
         if ref.index_secret:
             return BlockAccess(
                 kind=AccessKind.SECRET,
@@ -240,7 +313,7 @@ class MemoryLayout:
         return BlockAccess(
             kind=AccessKind.CONCRETE,
             symbol=ref.symbol,
-            blocks=(MemoryBlock(ref.symbol, block_index),),
+            blocks=(all_blocks[block_index],),
             is_write=ref.is_write,
             ref=ref,
         )
