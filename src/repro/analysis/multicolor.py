@@ -30,72 +30,34 @@ edges of Section 5.1:
    scenario's convergence block are joined into the normal state there and
    stop propagating.
 
-Execution modes
----------------
+The solver
+----------
 
-``mode="sparse"`` (the default) is a delta-driven scheduler: every block
-carries a *dirty set* of slots whose inputs changed since the block was
-last processed, and a visit re-transfers only those slots.  The pop
-schedule is identical to the dense engine's by construction — a delivery
-whose inputs did not change re-joins a value that is already below the
-target state, so skipping it changes neither the states nor the set of
-blocks re-enqueued — which makes the sparse results bit-identical to the
-dense ones, widening timing included.
+There is one fixpoint solver,
+:meth:`SpeculativeCacheAnalysis._run_sparse_pass`, a delta-driven
+scheduler: every block carries a *dirty set* of slots whose inputs
+changed since the block was last processed, and a visit re-transfers
+only those slots.  A delivery whose inputs did not change would re-join
+a value already below its target, so skipping it changes neither the
+states nor the set of blocks re-enqueued.  The pass starts from one of
+two seeds:
 
-``mode="dense"`` is the original engine, retained as the differential
-reference: every visit re-transfers the normal state and *all* slots at
-the block, paying O(#slots-at-block) per pop regardless of what changed.
+* the *cold* seed — bottom everywhere, the entry state at the entry
+  block;
+* a *warm* seed (incremental re-analysis, :class:`WarmStartData`) — a
+  prior run's states outside the region an edit affected, with the
+  region itself reset to bottom (see
+  :meth:`SpeculativeCacheAnalysis._plan_warm`).
 
-``scenario_shards >= 2`` runs the scenario-sharded scheduler: colors are
-partitioned round-robin into shards, and the solver alternates an *outer
-normal-state fixpoint* (no scenarios) with per-shard sparse fixpoints,
-each shard working against a private copy of the normal states whose
-changes are joined back deterministically after every round.  Shards
-only interact through the normal states, so the rounds are a chaotic
-iteration of the same equation system and converge to the same least
-fixpoint for every shard count.  The sharded scheduler computes the
-*exact* join-fixpoint: widening is an acceleration whose effect depends
-on the visit schedule, so applying it per-shard would make the result
-depend on the shard count.  The cache lattices are finite, so
-termination does not need it; on programs where the canonical engine's
-widening fires (rare — deep unrolled loops), the sharded result can be
-strictly more precise.
-
-Shard backends
---------------
-
-Because shard runs only read the shared normal states and their outputs
-are joined deterministically, *where* they execute is a pure scheduling
-choice.  ``shard_backend`` selects it:
-
-* ``"serial"`` — shard fixpoints run one after another in the calling
-  thread (the reference schedule);
-* ``"threads"`` — shard fixpoints run on a thread pool.  GIL-bound, so
-  no speedup for pure-Python transfers, but it exercises the concurrent
-  schedule cheaply;
-* ``"processes"`` — shard state lives in persistent worker processes
-  (:class:`~repro.engine.pool.PersistentWorkerPool`; worker count from
-  ``REPRO_MAX_WORKERS``, default the CPU count).  Each outer round the
-  master broadcasts the blocks whose normal state changed as a
-  codec-encoded delta (:mod:`repro.cache.codec`), workers run their
-  shard fixpoints against their mirror of the normal states, and the
-  master joins the codec-encoded shard deltas back in shard order.  If
-  workers cannot be started (or die mid-run), the solve falls back to
-  the serial backend.
-
-All three backends are **bit-identical** by construction: workers run
-the same ``_run_sparse_pass`` code on equal inputs, the codec
-round-trips states to equal values, and every join happens master-side
-in the serial schedule's order (shard index, then block order).  The
-backend that actually ran is recorded in ``shard_backend_used``.
-Requests may therefore treat the backend as an execution knob, not a
-semantic one — result cache keys deliberately exclude it.
+The original dense engine, which re-transfers the normal state and every
+slot on each visit, is kept as a test-only differential reference
+(``tests/dense_reference.py``): both engines follow the same pop
+schedule, so their states, classifications, iteration and widening
+counts agree bit for bit.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.depth import DepthChooser
@@ -109,24 +71,12 @@ from repro.analysis.transfer import (
     transfer_block,
     transfer_block_with_prefix_join,
 )
-from repro.cache.codec import decode_state_map, encode_state_map
 from repro.cache.config import CacheConfig
-from repro.engine.pool import PersistentWorkerPool, WorkerPoolError, default_max_workers
-from repro.engine.request import SHARD_BACKENDS
 from repro.engine.worklist import PriorityWorklist, WideningPolicy, run_fixpoint
 from repro.frontend import CompiledProgram
 from repro.ir.cfg import diff_cfgs
 from repro.ir.loops import find_natural_loops
-from repro.obs import (
-    CollectingReporter,
-    current_reporter,
-    metrics,
-    publish_progress,
-    reporting,
-    republish,
-    span,
-    tracer,
-)
+from repro.obs import current_reporter, metrics, publish_progress, span
 from repro.obs.progress import POP_PUBLISH_INTERVAL
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.vcfg import (
@@ -147,24 +97,6 @@ WIDENING_DELAY = 3
 #: computation always terminates, but a bug in a transfer function should
 #: surface as an error rather than an endless loop).
 MAX_VISITS = 5_000_000
-
-
-def resolve_shard_backend(
-    shard_backend: str | None, shard_threads: bool = False
-) -> str:
-    """Resolve the backend knob: an explicit value wins, then the legacy
-    ``shard_threads`` flag, then the ``REPRO_SHARD_BACKEND`` environment
-    variable, then ``"serial"``."""
-    resolved = shard_backend
-    if resolved is None and shard_threads:
-        resolved = "threads"
-    if resolved is None:
-        resolved = os.environ.get("REPRO_SHARD_BACKEND") or "serial"
-    if resolved not in SHARD_BACKENDS:
-        raise ValueError(
-            f"unknown shard backend {resolved!r} (expected one of {SHARD_BACKENDS})"
-        )
-    return resolved
 
 
 @dataclass
@@ -240,24 +172,6 @@ class _WarmPlan:
     force_branches: set[str]
 
 
-@dataclass
-class _Shard:
-    """One group of colors plus the per-shard solver state that persists
-    across outer rounds of the sharded scheduler."""
-
-    index: int
-    scenarios: list[SpeculationScenario]
-    scenarios_by_branch: dict[str, list[SpeculationScenario]]
-    chooser: DepthChooser
-    slots: dict[str, dict[SlotKey, object]]
-    dirty: dict[str, set]
-    visits: dict[str, int]
-
-    @property
-    def branch_blocks(self) -> set[str]:
-        return set(self.scenarios_by_branch)
-
-
 class SpeculativeCacheAnalysis:
     """The lifted analysis engine."""
 
@@ -266,27 +180,14 @@ class SpeculativeCacheAnalysis:
         program: CompiledProgram,
         cache_config: CacheConfig | None = None,
         speculation: SpeculationConfig | None = None,
-        mode: str = "sparse",
-        scenario_shards: int = 1,
-        shard_threads: bool = False,
-        shard_backend: str | None = None,
         warm_start: WarmStartData | None = None,
         prune_scenarios: bool = False,
     ):
-        if mode not in ("sparse", "dense"):
-            raise ValueError(f"unknown engine mode {mode!r}")
         self.program = program
         self.cfg = program.cfg
         self.layout = program.layout
         self.cache_config = cache_config or CacheConfig.paper_default()
         self.speculation = speculation or SpeculationConfig.paper_default()
-        self.mode = mode
-        self.scenario_shards = max(1, int(scenario_shards))
-        self.shard_backend = resolve_shard_backend(shard_backend, shard_threads)
-        self.shard_threads = self.shard_backend == "threads"
-        #: Which backend the last sharded solve actually executed on
-        #: (None until then; "serial" after a process-backend fallback).
-        self.shard_backend_used: str | None = None
         self.warm_start = warm_start
         #: Reuse counters of the last warm solve (or the fallback reason);
         #: None until solve() runs with a warm_start.
@@ -435,25 +336,19 @@ class SpeculativeCacheAnalysis:
         publish_progress(
             "fixpoint",
             program=self.cfg.name,
-            mode=self.mode,
             scenarios=len(self.vcfg.scenarios),
-            shards=self.scenario_shards,
         )
         with span(
             "fixpoint",
             program=self.cfg.name,
             kind="speculative",
-            mode=self.mode,
             scenarios=len(self.vcfg.scenarios),
-            shards=self.scenario_shards,
         ) as fixpoint_span:
             fixpoint = self.solve()
             share_planes(fixpoint.normal.values())
             self.last_fixpoint = fixpoint
             fixpoint_span.set(
-                iterations=fixpoint.iterations,
-                widenings=fixpoint.widenings,
-                backend=self.shard_backend_used,
+                iterations=fixpoint.iterations, widenings=fixpoint.widenings
             )
             if self.warm_info is not None:
                 fixpoint_span.set(warm=self.warm_info.get("used", False))
@@ -490,7 +385,6 @@ class SpeculativeCacheAnalysis:
                 scenario.window_miss.num_instructions
                 for scenario in reporting_scenarios
             ),
-            shard_backend_used=self.shard_backend_used,
         )
         stats = self.chooser.stats(reporting_scenarios)
         result.num_virtual_edges_active = stats.virtual_edges_active
@@ -506,43 +400,51 @@ class SpeculativeCacheAnalysis:
         return result
 
     # ------------------------------------------------------------------
-    # Fixpoint dispatch
+    # The fixpoint
     # ------------------------------------------------------------------
     def solve(self) -> SpeculativeFixpoint:
-        if self.warm_start is not None and (
-            self.mode == "dense" or self.scenario_shards >= 2
-        ):
-            # Warm starts are defined for the canonical sparse engine only;
-            # the dense reference and the sharded (exact-fixpoint) paths
-            # run cold.  The engine layer gates these before dispatch, so
-            # this is belt-and-braces bookkeeping.
-            self.warm_info = {
-                "used": False,
-                "fallback": "dense" if self.mode == "dense" else "sharded",
-            }
-            self.warm_start = None
-        if self.mode == "dense":
-            return self._solve_dense()
-        if self.scenario_shards >= 2:
-            # Always the exact-fixpoint scheduler, even for programs with
-            # fewer than two scenarios: a sharded request promises (and is
-            # result-keyed as) unwidened results, so falling back to the
-            # widened canonical engine here would break that contract.
-            if self.shard_backend == "processes":
-                try:
-                    return self._solve_sharded_processes()
-                except WorkerPoolError:
-                    # Workers unavailable or lost mid-run: the sharded
-                    # solve is deterministic and only commits state at
-                    # the end, so restarting serially is safe (and will
-                    # also surface any genuine analysis bug locally).
-                    pass
-            return self._solve_sharded()
-        if self.warm_start is not None:
-            plan = self._plan_warm(self.warm_start)
-            if plan is not None:
-                return self._solve_warm(plan)
-        return self._solve_sparse()
+        """Drain the sparse fixpoint from a cold seed, or from a warm one
+        when a prior run was supplied and :meth:`_plan_warm` accepts it.
+
+        The cold seed is bottom everywhere with the entry state at the
+        entry block; a warm seed additionally carries the prior states of
+        every block outside the affected region.  Both reach the same
+        least fixpoint; only the pop count differs.
+        """
+        plan = None if self.warm_start is None else self._plan_warm(self.warm_start)
+        self._warm_plan = plan
+        cfg = self.cfg
+        reachable = cfg.reachable_blocks()
+        order = self._schedule_order()
+        policy = self._widening_policy()
+
+        normal: dict[str, object] = {name: self._bottom for name in reachable}
+        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
+        dirty: dict[str, set] = {name: set() for name in reachable}
+        if plan is None or cfg.entry in plan.affected:
+            normal[cfg.entry] = self._entry_state()
+            dirty[cfg.entry].add(None)
+        if plan is not None:
+            self._seed_warm(plan, normal, speculative, dirty)
+        seeds = sorted(
+            (name for name in reachable if dirty[name]),
+            key=lambda name: order.get(name, 0),
+        )
+        if plan is not None:
+            self.warm_info["frontier_blocks"] = len(seeds)
+
+        fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
+        fixpoint.iterations = self._run_sparse_pass(
+            normal,
+            speculative,
+            dirty,
+            seeds,
+            order,
+            policy,
+            "speculative fixpoint" if plan is None else "warm speculative fixpoint",
+        )
+        fixpoint.widenings = policy.widenings
+        return fixpoint
 
     def _entry_state(self):
         return new_entry_state(self.cache_config, self._use_shadow, self.universe)
@@ -555,39 +457,6 @@ class SpeculativeCacheAnalysis:
             points={loop.header for loop in find_natural_loops(self.cfg)},
             delay=WIDENING_DELAY,
         )
-
-    # ------------------------------------------------------------------
-    # Sparse (delta-driven) fixpoint — the default engine
-    # ------------------------------------------------------------------
-    def _solve_sparse(self) -> SpeculativeFixpoint:
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        policy = self._widening_policy()
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = self._entry_state()
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        dirty: dict[str, set] = {name: set() for name in reachable}
-        dirty[cfg.entry].add(None)
-
-        fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
-        fixpoint.iterations = self._run_sparse_pass(
-            normal=normal,
-            speculative=speculative,
-            dirty=dirty,
-            seeds=[cfg.entry],
-            order=order,
-            chooser=self.chooser,
-            scenarios_by_branch=self._scenarios_by_branch,
-            policy=policy,
-            visits=visits,
-            normal_changed=set(),
-            description="speculative fixpoint",
-        )
-        fixpoint.widenings = policy.widenings
-        return fixpoint
 
     # ------------------------------------------------------------------
     # Warm-started sparse fixpoint (incremental re-analysis)
@@ -733,44 +602,39 @@ class SpeculativeCacheAnalysis:
             warm=warm, affected=affected, stable=stable, force_branches=force_branches
         )
 
-    def _solve_warm(self, plan: _WarmPlan) -> SpeculativeFixpoint:
-        """Drain the affected region against seeded prior states.
-
-        Produces the same least fixpoint as :meth:`_solve_sparse` from
-        scratch (see :meth:`_plan_warm`); only the pop count differs.
-        """
-        self._warm_plan = plan
+    def _seed_warm(
+        self,
+        plan: _WarmPlan,
+        normal: dict[str, object],
+        speculative: dict[str, dict[SlotKey, object]],
+        dirty: dict[str, set],
+    ) -> None:
+        """Fill the cold seed in with the prior run's states outside the
+        affected region, seed the chooser for stable scenarios, and mark
+        the dirty frontier that re-delivers into the region."""
         cfg = self.cfg
         warm = plan.warm
         affected = plan.affected
         reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        policy = self._widening_policy()  # no points — checked by _plan_warm
 
         color_map = {
             old_color: scenario.color for old_color, scenario in plan.stable.items()
         }
         seeded_slots = 0
-        normal: dict[str, object] = {}
-        speculative: dict[str, dict[SlotKey, object]] = {}
         for name in reachable:
-            if name in affected or name not in warm.normal:
-                normal[name] = self._bottom
-            else:
+            if name in affected:
+                continue
+            if name in warm.normal:
                 normal[name] = warm.normal[name].in_universe(self.universe)
-            slots: dict[SlotKey, object] = {}
-            if name not in affected:
-                for slot, value in warm.slots.get(name, {}).items():
-                    mapped = color_map.get(slot[1])
-                    if mapped is None:
-                        continue
-                    slots[(slot[0], mapped) + tuple(slot[2:])] = value.in_universe(
-                        self.universe
-                    )
-                    seeded_slots += 1
-            speculative[name] = slots
-        if cfg.entry in affected:
-            normal[cfg.entry] = self._entry_state()
+            slots = speculative[name]
+            for slot, value in warm.slots.get(name, {}).items():
+                mapped = color_map.get(slot[1])
+                if mapped is None:
+                    continue
+                slots[(slot[0], mapped) + tuple(slot[2:])] = value.in_universe(
+                    self.universe
+                )
+                seeded_slots += 1
 
         # Seed the chooser for stable scenarios: classification reads the
         # active window of every scenario, including ones the warm drain
@@ -794,10 +658,6 @@ class SpeculativeCacheAnalysis:
         # targets are no-ops); window slots additionally re-send when
         # their rollback target is affected, because rollback is the one
         # delivery that does not follow a successor edge.
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        dirty: dict[str, set] = {name: set() for name in reachable}
-        if cfg.entry in affected:
-            dirty[cfg.entry].add(None)
         for name in plan.force_branches:
             dirty[name].add(None)
         for name in reachable:
@@ -814,29 +674,7 @@ class SpeculativeCacheAnalysis:
                 if scenario is not None and scenario.correct_target in affected:
                     dirty[name].add(slot)
 
-        seeds = sorted(
-            (name for name in reachable if dirty[name]),
-            key=lambda name: order.get(name, 0),
-        )
         self.warm_info["seeded_slots"] = seeded_slots
-        self.warm_info["frontier_blocks"] = len(seeds)
-
-        fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
-        fixpoint.iterations = self._run_sparse_pass(
-            normal=normal,
-            speculative=speculative,
-            dirty=dirty,
-            seeds=seeds,
-            order=order,
-            chooser=self.chooser,
-            scenarios_by_branch=self._scenarios_by_branch,
-            policy=policy,
-            visits=visits,
-            normal_changed=set(),
-            description="warm speculative fixpoint",
-        )
-        fixpoint.widenings = policy.widenings
-        return fixpoint
 
     def _run_sparse_pass(
         self,
@@ -845,18 +683,12 @@ class SpeculativeCacheAnalysis:
         dirty: dict[str, set],
         seeds,
         order: dict[str, int],
-        chooser: DepthChooser | None,
-        scenarios_by_branch: dict[str, list[SpeculationScenario]],
         policy: WideningPolicy,
-        visits: dict[str, int],
-        normal_changed: set[str],
         description: str,
     ) -> int:
-        """Drain one sparse fixpoint to convergence; returns the pop count.
-
-        Blocks whose normal state changed at least once are accumulated
-        into ``normal_changed`` (the sharded scheduler's join set)."""
+        """Drain one sparse fixpoint to convergence; returns the pop count."""
         worklist = PriorityWorklist(order, initial=seeds)
+        visits: dict[str, int] = dict.fromkeys(normal, 0)
         # Streaming progress: throttled to one event per
         # POP_PUBLISH_INTERVAL pops, and only when a reporter is
         # installed — the common (unwatched) case pays nothing per pop.
@@ -876,23 +708,10 @@ class SpeculativeCacheAnalysis:
             pending = dirty[name]
             dirty[name] = set()
             deliveries = self._process_block_sparse(
-                name,
-                pending,
-                normal,
-                speculative,
-                worklist.push,
-                dirty,
-                chooser,
-                scenarios_by_branch,
+                name, pending, normal, speculative, worklist.push, dirty
             )
             return self._apply_deliveries(
-                deliveries,
-                normal,
-                speculative,
-                policy,
-                visits,
-                dirty=dirty,
-                normal_changed=normal_changed,
+                deliveries, normal, speculative, policy, visits, dirty
             )
 
         return run_fixpoint(
@@ -907,8 +726,6 @@ class SpeculativeCacheAnalysis:
         speculative: dict[str, dict[SlotKey, object]],
         requeue,
         dirty: dict[str, set],
-        chooser: DepthChooser | None,
-        scenarios_by_branch: dict[str, list[SpeculationScenario]],
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         successors = self.cfg.successors(name)
@@ -936,9 +753,7 @@ class SpeculativeCacheAnalysis:
                 self._slot_transfers += 1
                 if slot[0] == "window":
                     deliveries.extend(
-                        self._process_window_slot(
-                            name, slot, slot_state, successors, chooser
-                        )
+                        self._process_window_slot(name, slot, slot_state, successors)
                     )
                 else:
                     deliveries.extend(
@@ -951,9 +766,9 @@ class SpeculativeCacheAnalysis:
         # window-growth requeues on the same schedule.  The injection
         # delivery itself only carries a new value when S[n] changed — the
         # dense engine's unconditional re-delivery is a join no-op then.
-        for scenario in scenarios_by_branch.get(name, ()):
-            previous_window = chooser.active_window(scenario)
-            window = chooser.choose(scenario, state_in)
+        for scenario in self._scenarios_by_branch.get(name, ()):
+            previous_window = self.chooser.active_window(scenario)
+            window = self.chooser.choose(scenario, state_in)
             if window.depth > previous_window.depth:
                 # The window grew (the condition is no longer a proven hit):
                 # re-propagate from every block of the old window, and mark
@@ -974,463 +789,6 @@ class SpeculativeCacheAnalysis:
         return deliveries
 
     # ------------------------------------------------------------------
-    # Scenario-sharded fixpoint
-    # ------------------------------------------------------------------
-    def _solve_sharded(self) -> SpeculativeFixpoint:
-        self.shard_backend_used = "threads" if self.shard_threads else "serial"
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        # Exact fixpoint: no widening (see the module docstring).
-        no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = self._entry_state()
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        normal_dirty: dict[str, set] = {name: set() for name in reachable}
-
-        shards = self._build_shards(reachable)
-        fixpoint = SpeculativeFixpoint(normal=normal)
-        iterations = 0
-
-        pending_normal: set[str] = {cfg.entry}
-        # The entry state is non-bottom from the start, so the entry block
-        # counts as "changed" for the first shard round even though no
-        # delivery ever touches it.
-        delta_for_shards: set[str] = {cfg.entry}
-        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        round_index = 0
-        while True:
-            with span("fixpoint.round", round=round_index) as round_span:
-                round_index += 1
-                # Phase 1: outer normal-state fixpoint (scenarios excluded).
-                phase1_changed: set[str] = set()
-                if pending_normal:
-                    for block in pending_normal:
-                        normal_dirty[block].add(None)
-                    iterations += self._run_sparse_pass(
-                        normal=normal,
-                        speculative=no_slots,
-                        dirty=normal_dirty,
-                        seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
-                        order=order,
-                        chooser=None,
-                        scenarios_by_branch={},
-                        policy=no_widening,
-                        visits=visits,
-                        normal_changed=phase1_changed,
-                        description="sharded speculative fixpoint (normal phase)",
-                    )
-                    pending_normal = set()
-                delta_for_shards |= phase1_changed
-                # Phase 2: per-shard sparse fixpoints against private copies of S.
-                seeded = [
-                    shard
-                    for shard in shards
-                    if delta_for_shards & shard.branch_blocks
-                    or any(shard.dirty[name] for name in shard.dirty)
-                ]
-                round_span.set(shards_seeded=len(seeded))
-                if not seeded:
-                    break
-                delta = delta_for_shards
-                delta_for_shards = set()
-                runs = self._run_shards(
-                    seeded, normal, delta, order, no_widening, parent_span=round_span
-                )
-                iterations += sum(pops for pops, _, _ in runs)
-                # Phase 3: deterministic join of the shard-local normal states.
-                joined_delta: set[str] = set()
-                for _, local_normal, local_changed in runs:
-                    for block in sorted(local_changed, key=lambda b: order.get(b, 0)):
-                        joined, changed = normal[block].join_changed(local_normal[block])
-                        if changed:
-                            normal[block] = joined
-                            joined_delta.add(block)
-                round_span.set(joined_blocks=len(joined_delta))
-                publish_progress(
-                    "fixpoint.round",
-                    round=round_index,
-                    shards_seeded=len(seeded),
-                    joined_blocks=len(joined_delta),
-                    iterations=iterations,
-                )
-                if not joined_delta:
-                    break
-                pending_normal = joined_delta
-                delta_for_shards = set(joined_delta)
-
-        # Merge the per-shard slot dictionaries and window decisions back
-        # into the engine-level views used by classification.
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        for shard in shards:
-            for name, slots in shard.slots.items():
-                if slots:
-                    speculative[name].update(slots)
-            self.chooser.absorb(shard.chooser)
-        fixpoint.speculative = speculative
-        fixpoint.iterations = iterations
-        fixpoint.widenings = 0
-        return fixpoint
-
-    def _build_shards(self, reachable: list[str]) -> list[_Shard]:
-        scenarios = self.vcfg.scenarios
-        count = max(1, min(self.scenario_shards, len(scenarios)))
-        shards: list[_Shard] = []
-        for index in range(count):
-            members = scenarios[index::count]
-            by_branch: dict[str, list[SpeculationScenario]] = {}
-            for scenario in members:
-                by_branch.setdefault(scenario.branch_block, []).append(scenario)
-            shards.append(
-                _Shard(
-                    index=index,
-                    scenarios=members,
-                    scenarios_by_branch=by_branch,
-                    chooser=DepthChooser(self.speculation, self.layout),
-                    slots={name: {} for name in reachable},
-                    dirty={name: set() for name in reachable},
-                    visits={name: 0 for name in reachable},
-                )
-            )
-        return shards
-
-    def _run_shards(
-        self,
-        shards: list[_Shard],
-        normal: dict[str, object],
-        delta: set[str],
-        order: dict[str, int],
-        policy: WideningPolicy,
-        parent_span=None,
-    ) -> list[tuple[int, dict[str, object], set[str]]]:
-        """Run one round of shard fixpoints; returns per-shard
-        (pops, local normal states, blocks whose local normal changed),
-        in shard order regardless of execution interleaving."""
-        # Captured for the threads backend: pool threads have an empty
-        # thread-local reporter, so the caller's is installed explicitly
-        # (mirroring the explicit span parenting below).
-        reporter = current_reporter()
-
-        def run_one(shard: _Shard) -> tuple[int, dict[str, object], set[str]]:
-            # Explicit parenting: on the threads backend this body runs on
-            # a pool thread whose own span stack is empty.
-            with reporting(reporter), tracer().child_span(
-                "fixpoint.shard", parent_span, shard=shard.index
-            ) as shard_span:
-                local_normal = dict(normal)
-                seeds = []
-                for block in sorted(
-                    delta & shard.branch_blocks, key=lambda b: order.get(b, 0)
-                ):
-                    shard.dirty[block].add(None)
-                for block in shard.dirty:
-                    if shard.dirty[block]:
-                        seeds.append(block)
-                seeds.sort(key=lambda b: order.get(b, 0))
-                local_changed: set[str] = set()
-                pops = self._run_sparse_pass(
-                    normal=local_normal,
-                    speculative=shard.slots,
-                    dirty=shard.dirty,
-                    seeds=seeds,
-                    order=order,
-                    chooser=shard.chooser,
-                    scenarios_by_branch=shard.scenarios_by_branch,
-                    policy=policy,
-                    visits=shard.visits,
-                    normal_changed=local_changed,
-                    description=f"sharded speculative fixpoint (shard {shard.index})",
-                )
-                shard_span.set(pops=pops, changed_blocks=len(local_changed))
-                reporter.publish(
-                    "fixpoint.shard",
-                    shard=shard.index,
-                    pops=pops,
-                    changed_blocks=len(local_changed),
-                )
-            return pops, local_normal, local_changed
-
-        if self.shard_threads and len(shards) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                return list(pool.map(run_one, shards))
-        return [run_one(shard) for shard in shards]
-
-    # ------------------------------------------------------------------
-    # Scenario-sharded fixpoint, process backend
-    # ------------------------------------------------------------------
-    def _solve_sharded_processes(self) -> SpeculativeFixpoint:
-        """The sharded scheduler with shard fixpoints in worker processes.
-
-        Identical round structure to :meth:`_solve_sharded`; the
-        differences are purely about state placement.  Shard state
-        (slots, dirty sets, visit counts, chooser) lives in persistent
-        workers for the whole solve; each worker also keeps a *mirror*
-        of the master's normal states, kept in sync by broadcasting the
-        blocks that changed since the previous round (the phase-3 join
-        delta plus the next phase-1 changes — exactly the set
-        ``_solve_sharded`` hands to :meth:`_run_shards`) as one
-        codec-encoded state map.  Workers reply per shard with the pop
-        count and the codec-encoded states of the blocks their local
-        normal copy changed; the master joins those replies in shard
-        order, then block order — the serial schedule — so the fixpoint
-        is bit-identical to the serial backend's.
-
-        Raises :class:`WorkerPoolError` if workers cannot be started or
-        die mid-run; :meth:`solve` falls back to the serial backend
-        (nothing on ``self`` is mutated before the workers' final
-        hand-back succeeds).
-        """
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        no_widening = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = self._entry_state()
-        visits: dict[str, int] = {name: 0 for name in reachable}
-        normal_dirty: dict[str, set] = {name: set() for name in reachable}
-
-        scenarios = self.vcfg.scenarios
-        shard_count = max(1, min(self.scenario_shards, len(scenarios)))
-        # The same round-robin partition _build_shards uses; the master
-        # only needs each shard's branch blocks (for the seeding check).
-        shard_branch_blocks = [
-            {scenario.branch_block for scenario in scenarios[index::shard_count]}
-            for index in range(shard_count)
-        ]
-        num_workers = max(
-            1, min(default_max_workers() or os.cpu_count() or 1, shard_count)
-        )
-        # Worker w owns shards w, w+W, w+2W, ... — affinity is what lets
-        # shard state stay resident across rounds.
-        pool = PersistentWorkerPool(
-            _shard_worker_factory,
-            [
-                (
-                    self.program,
-                    self.cache_config,
-                    self.speculation,
-                    self.scenario_shards,
-                    tuple(range(worker, shard_count, num_workers)),
-                )
-                for worker in range(num_workers)
-            ],
-            name="repro-shard",
-        )
-        self.shard_backend_used = "processes"
-
-        fixpoint = SpeculativeFixpoint(normal=normal)
-        iterations = 0
-        shard_has_dirty = [False] * shard_count
-        pending_normal: set[str] = {cfg.entry}
-        delta_for_shards: set[str] = {cfg.entry}
-        no_slots: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        round_index = 0
-        try:
-            while True:
-                with span("fixpoint.round", round=round_index) as round_span:
-                    round_index += 1
-                    # Phase 1: outer normal-state fixpoint (master-side,
-                    # identical to the serial backend's).
-                    phase1_changed: set[str] = set()
-                    if pending_normal:
-                        for block in pending_normal:
-                            normal_dirty[block].add(None)
-                        iterations += self._run_sparse_pass(
-                            normal=normal,
-                            speculative=no_slots,
-                            dirty=normal_dirty,
-                            seeds=sorted(pending_normal, key=lambda b: order.get(b, 0)),
-                            order=order,
-                            chooser=None,
-                            scenarios_by_branch={},
-                            policy=no_widening,
-                            visits=visits,
-                            normal_changed=phase1_changed,
-                            description="sharded speculative fixpoint (normal phase)",
-                        )
-                        pending_normal = set()
-                    delta_for_shards |= phase1_changed
-                    if not any(
-                        delta_for_shards & shard_branch_blocks[index]
-                        or shard_has_dirty[index]
-                        for index in range(shard_count)
-                    ):
-                        break
-                    # Phase 2: broadcast the delta, run the shard fixpoints
-                    # remotely.  Every worker gets the delta — mirrors must
-                    # track the master even in rounds where a worker's own
-                    # shards have nothing to do.  Workers collect their spans
-                    # locally (when asked) and relay them in the reply — they
-                    # must never write the master's trace file themselves.
-                    delta_blob = encode_state_map(
-                        {block: normal[block] for block in delta_for_shards}
-                    )
-                    delta_for_shards = set()
-                    want_spans = tracer().enabled
-                    # Progress rides the same reply channel as spans:
-                    # workers collect locally and the master republishes
-                    # into its own reporter (workers never talk to the
-                    # service layer directly).
-                    want_progress = current_reporter().active
-                    replies = pool.request_all(
-                        [("round", delta_blob, want_spans, want_progress)]
-                        * num_workers
-                    )
-                    metrics().counter("codec.bytes_shipped").inc(
-                        len(delta_blob) * num_workers
-                    )
-                    reply_bytes = 0
-                    by_shard: dict[int, tuple[int, bytes]] = {}
-                    for shard_replies, worker_spans, worker_progress in replies:
-                        tracer().emit_foreign(worker_spans)
-                        republish(worker_progress)
-                        for shard_index, pops, changed_blob, leftover_dirty in shard_replies:
-                            by_shard[shard_index] = (pops, changed_blob)
-                            shard_has_dirty[shard_index] = leftover_dirty
-                            reply_bytes += len(changed_blob)
-                    metrics().counter("codec.bytes_shipped").inc(reply_bytes)
-                    # Phase 3: deterministic join, in shard order then block
-                    # order — the serial schedule.
-                    joined_delta: set[str] = set()
-                    for shard_index in range(shard_count):
-                        pops, changed_blob = by_shard[shard_index]
-                        iterations += pops
-                        local_states = decode_state_map(changed_blob, self.universe)
-                        for block in sorted(local_states, key=lambda b: order.get(b, 0)):
-                            joined, changed = normal[block].join_changed(
-                                local_states[block]
-                            )
-                            if changed:
-                                normal[block] = joined
-                                joined_delta.add(block)
-                    round_span.set(
-                        delta_bytes=len(delta_blob),
-                        reply_bytes=reply_bytes,
-                        joined_blocks=len(joined_delta),
-                        workers=num_workers,
-                    )
-                    publish_progress(
-                        "fixpoint.round",
-                        round=round_index,
-                        joined_blocks=len(joined_delta),
-                        iterations=iterations,
-                        workers=num_workers,
-                    )
-                    if not joined_delta:
-                        break
-                    pending_normal = joined_delta
-                    delta_for_shards = set(joined_delta)
-            finals = pool.request_all([("finalize",)] * num_workers)
-        finally:
-            pool.close()
-
-        # Merge the workers' slot dictionaries and window decisions back
-        # into the engine-level views used by classification, in shard
-        # order (matching the serial backend's merge loop).
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        by_shard_final: dict[int, tuple[dict, DepthChooser]] = {}
-        for entries, worker_metrics in finals:
-            metrics().absorb(worker_metrics)
-            for shard_index, slots, chooser in entries:
-                by_shard_final[shard_index] = (slots, chooser)
-        for shard_index in range(shard_count):
-            slots, chooser = by_shard_final[shard_index]
-            for name, block_slots in slots.items():
-                if name in speculative:
-                    # Pickled in the worker: re-home onto this universe.
-                    speculative[name].update(
-                        (slot, state.in_universe(self.universe))
-                        for slot, state in block_slots.items()
-                    )
-            self.chooser.absorb(chooser)
-        fixpoint.speculative = speculative
-        fixpoint.iterations = iterations
-        fixpoint.widenings = 0
-        return fixpoint
-
-    # ------------------------------------------------------------------
-    # Dense fixpoint — the retained differential-reference engine
-    # ------------------------------------------------------------------
-    def _solve_dense(self) -> SpeculativeFixpoint:
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        order = self._schedule_order()
-        policy = self._widening_policy()
-
-        normal: dict[str, object] = {name: self._bottom for name in reachable}
-        normal[cfg.entry] = self._entry_state()
-        speculative: dict[str, dict[SlotKey, object]] = {name: {} for name in reachable}
-        visits: dict[str, int] = {name: 0 for name in reachable}
-
-        fixpoint = SpeculativeFixpoint(normal=normal, speculative=speculative)
-        worklist = PriorityWorklist(order, initial=[cfg.entry])
-
-        def step(name: str) -> set[str]:
-            visits[name] += 1
-            fixpoint.iterations += 1
-            deliveries = self._process_block(name, normal, speculative, worklist.push)
-            return self._apply_deliveries(
-                deliveries, normal, speculative, policy, visits
-            )
-
-        run_fixpoint(
-            worklist, step, max_visits=MAX_VISITS, description="speculative fixpoint"
-        )
-        fixpoint.widenings = policy.widenings
-        return fixpoint
-
-    def _process_block(
-        self,
-        name: str,
-        normal: dict[str, object],
-        speculative: dict[str, dict[SlotKey, object]],
-        requeue,
-    ) -> list[_Delivery]:
-        deliveries: list[_Delivery] = []
-        successors = self.cfg.successors(name)
-        state_in = normal[name]
-        slots_in = speculative[name]
-
-        # --- normal transfer and propagation -------------------------------
-        state_out = transfer_block(state_in, self.table, name)
-        for successor in successors:
-            deliveries.append(_Delivery(successor, None, state_out))
-
-        # --- speculative slots ----------------------------------------------
-        for slot, slot_state in slots_in.items():
-            if getattr(slot_state, "is_bottom", False):
-                continue
-            if slot[0] == "window":
-                deliveries.extend(
-                    self._process_window_slot(name, slot, slot_state, successors)
-                )
-            else:
-                deliveries.extend(
-                    self._process_resume_slot(name, slot, slot_state, successors)
-                )
-
-        # --- scenario injection at branch blocks ----------------------------
-        for scenario in self._scenarios_by_branch.get(name, []):
-            previous_window = self.chooser.active_window(scenario)
-            window = self.chooser.choose(scenario, state_in)
-            if window.depth > previous_window.depth:
-                # The window grew (the condition is no longer a proven hit):
-                # re-propagate from every block of the old window.
-                for block in previous_window.allowed:
-                    if block in normal:
-                        requeue(block)
-            if window.depth <= 0 or not window.contains(scenario.wrong_target):
-                continue
-            deliveries.append(
-                _Delivery(scenario.wrong_target, ("window", scenario.color), state_out)
-            )
-        return deliveries
-
-    # ------------------------------------------------------------------
     # Shared slot transfers
     # ------------------------------------------------------------------
     def _process_window_slot(
@@ -1439,11 +797,10 @@ class SpeculativeCacheAnalysis:
         slot: SlotKey,
         slot_state,
         successors: list[str],
-        chooser: DepthChooser | None = None,
     ) -> list[_Delivery]:
         deliveries: list[_Delivery] = []
         scenario = self._scenario_by_color[slot[1]]
-        window = (chooser or self.chooser).active_window(scenario)
+        window = self.chooser.active_window(scenario)
         if not window.contains(name):
             return deliveries
         limit = window.allowed_instructions(name)
@@ -1499,8 +856,7 @@ class SpeculativeCacheAnalysis:
         speculative: dict[str, dict[SlotKey, object]],
         policy: WideningPolicy,
         visits: dict[str, int],
-        dirty: dict[str, set] | None = None,
-        normal_changed: set[str] | None = None,
+        dirty: dict[str, set],
     ) -> set[str]:
         changed: set[str] = set()
         for delivery in deliveries:
@@ -1514,10 +870,7 @@ class SpeculativeCacheAnalysis:
                 if grew:
                     normal[target] = joined
                     changed.add(target)
-                    if dirty is not None:
-                        dirty[target].add(None)
-                    if normal_changed is not None:
-                        normal_changed.add(target)
+                    dirty[target].add(None)
             else:
                 slots = speculative[target]
                 current = slots.get(delivery.slot, self._bottom)
@@ -1525,8 +878,7 @@ class SpeculativeCacheAnalysis:
                 if grew:
                     slots[delivery.slot] = joined
                     changed.add(target)
-                    if dirty is not None:
-                        dirty[target].add(delivery.slot)
+                    dirty[target].add(delivery.slot)
         return changed
 
     # ------------------------------------------------------------------
@@ -1535,39 +887,55 @@ class SpeculativeCacheAnalysis:
     def _classify(self, fixpoint: SpeculativeFixpoint) -> list[AccessClassification]:
         classifications: list[AccessClassification] = []
         for block in self.cfg.reachable_blocks():
-            state = fixpoint.normal[block]
-            # Accesses in the correct branch of a mispredicted execution
-            # commit with the speculatively polluted cache, so the committed
-            # classification must also hold under every *resume* state that
-            # reaches the block (window states model squashed instructions
-            # only, their misses are the masked "#SpMiss").
-            for slot, slot_state in fixpoint.speculative.get(block, {}).items():
-                if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False):
-                    state = slot_state if getattr(state, "is_bottom", False) else state.join(slot_state)
-            if getattr(state, "is_bottom", False):
-                continue
-            classifications.extend(
-                classify_block(state, self.table, block, self.secret_symbols)
-            )
+            classifications.extend(self._classify_committed(fixpoint, block))
         for scenario in self.vcfg.scenarios:
             window = self.chooser.active_window(scenario)
-            slot = ("window", scenario.color)
             for block, limit in window.allowed.items():
-                state = fixpoint.speculative.get(block, {}).get(slot)
-                if state is None or getattr(state, "is_bottom", False):
-                    continue
                 classifications.extend(
-                    classify_block(
-                        state,
-                        self.table,
-                        block,
-                        self.secret_symbols,
-                        instruction_limit=limit,
-                        speculative=True,
-                        scenario_color=scenario.color,
-                    )
+                    self._classify_window(fixpoint, scenario, block, limit)
                 )
         return classifications
+
+    def _classify_committed(
+        self, fixpoint: SpeculativeFixpoint, block: str
+    ) -> list[AccessClassification]:
+        """Classify the committed (non-speculative) accesses of ``block``.
+
+        Accesses in the correct branch of a mispredicted execution commit
+        with the speculatively polluted cache, so the classification must
+        hold under the join of the normal state and every *resume* state
+        that reaches the block (window states model squashed instructions
+        only; their misses are the masked "#SpMiss").
+        """
+        state = fixpoint.normal[block]
+        for slot, slot_state in fixpoint.speculative.get(block, {}).items():
+            if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False):
+                state = slot_state if getattr(state, "is_bottom", False) else state.join(slot_state)
+        if getattr(state, "is_bottom", False):
+            return []
+        return classify_block(state, self.table, block, self.secret_symbols)
+
+    def _classify_window(
+        self,
+        fixpoint: SpeculativeFixpoint,
+        scenario: SpeculationScenario,
+        block: str,
+        limit: int,
+    ) -> list[AccessClassification]:
+        """Classify the first ``limit`` accesses of ``block`` inside
+        ``scenario``'s speculative window."""
+        state = fixpoint.speculative.get(block, {}).get(("window", scenario.color))
+        if state is None or getattr(state, "is_bottom", False):
+            return []
+        return classify_block(
+            state,
+            self.table,
+            block,
+            self.secret_symbols,
+            instruction_limit=limit,
+            speculative=True,
+            scenario_color=scenario.color,
+        )
 
     def _resume_touched_blocks(self, plan: _WarmPlan) -> set[str]:
         """Blocks whose resume-slot population differs between the prior
@@ -1661,22 +1029,13 @@ class SpeculativeCacheAnalysis:
                 classifications.extend(retained)
                 reused += len(retained)
                 continue
-            state = fixpoint.normal[block]
-            for slot, slot_state in fixpoint.speculative.get(block, {}).items():
-                if slot[0] == "resume" and not getattr(slot_state, "is_bottom", False):
-                    state = slot_state if getattr(state, "is_bottom", False) else state.join(slot_state)
-            if getattr(state, "is_bottom", False):
-                continue
-            classifications.extend(
-                classify_block(state, self.table, block, self.secret_symbols)
-            )
+            classifications.extend(self._classify_committed(fixpoint, block))
 
         old_color_of = {
             scenario.color: old_color for old_color, scenario in plan.stable.items()
         }
         for scenario in self.vcfg.scenarios:
             window = self.chooser.active_window(scenario)
-            slot = ("window", scenario.color)
             old_color = old_color_of.get(scenario.color)
             for block, limit in window.allowed.items():
                 if (
@@ -1693,176 +1052,9 @@ class SpeculativeCacheAnalysis:
                         )
                         reused += 1
                     continue
-                state = fixpoint.speculative.get(block, {}).get(slot)
-                if state is None or getattr(state, "is_bottom", False):
-                    continue
                 classifications.extend(
-                    classify_block(
-                        state,
-                        self.table,
-                        block,
-                        self.secret_symbols,
-                        instruction_limit=limit,
-                        speculative=True,
-                        scenario_color=scenario.color,
-                    )
+                    self._classify_window(fixpoint, scenario, block, limit)
                 )
         if self.warm_info is not None:
             self.warm_info["classifications_reused"] = reused
         return classifications
-
-
-# ----------------------------------------------------------------------
-# Process-backend shard worker
-# ----------------------------------------------------------------------
-def _shard_worker_factory(
-    program: CompiledProgram,
-    cache_config: CacheConfig,
-    speculation: SpeculationConfig,
-    scenario_shards: int,
-    shard_indices: tuple[int, ...],
-):
-    """Picklable :class:`~repro.engine.pool.PersistentWorkerPool` entry
-    point: builds one :class:`_ShardWorker` inside the worker process."""
-    # Fork-started workers inherit the master's metrics registry; reset it
-    # so the snapshot relayed at finalize only counts this worker's work.
-    metrics().clear()
-    return _ShardWorker(program, cache_config, speculation, scenario_shards, shard_indices)
-
-
-class _ShardWorker:
-    """The worker-process half of the ``"processes"`` shard backend.
-
-    Owns the shards at ``shard_indices`` of the same round-robin
-    partition the master computes (``_build_shards`` is deterministic on
-    equal inputs), plus a mirror of the master's normal states.  The
-    mirror starts from the same initial assignment the master builds and
-    is advanced by the per-round deltas, so at every round start it
-    equals the master's ``normal`` — which makes each shard run here
-    byte-for-byte the computation the serial backend's ``run_one`` would
-    have performed.
-    """
-
-    def __init__(
-        self,
-        program: CompiledProgram,
-        cache_config: CacheConfig,
-        speculation: SpeculationConfig,
-        scenario_shards: int,
-        shard_indices: tuple[int, ...],
-    ):
-        self.analysis = SpeculativeCacheAnalysis(
-            program,
-            cache_config=cache_config,
-            speculation=speculation,
-            mode="sparse",
-            scenario_shards=scenario_shards,
-            shard_backend="serial",
-        )
-        analysis = self.analysis
-        reachable = analysis.cfg.reachable_blocks()
-        self.order = analysis._schedule_order()
-        self.policy = WideningPolicy(points=frozenset(), delay=WIDENING_DELAY)
-        all_shards = analysis._build_shards(reachable)
-        self.shards = [all_shards[index] for index in shard_indices]
-        self.mirror: dict[str, object] = {name: analysis._bottom for name in reachable}
-        self.mirror[analysis.cfg.entry] = analysis._entry_state()
-
-    def __call__(self, message: tuple):
-        if message[0] == "round":
-            want_spans = bool(message[2]) if len(message) > 2 else False
-            want_progress = bool(message[3]) if len(message) > 3 else False
-            return self._round(message[1], want_spans, want_progress)
-        if message[0] == "finalize":
-            return self._finalize()
-        raise ValueError(f"unknown shard-worker message {message[0]!r}")
-
-    def _round(
-        self, delta_blob: bytes, want_spans: bool = False, want_progress: bool = False
-    ) -> tuple[list[tuple[int, int, bytes, bool]], list[dict], list[dict]]:
-        """Run one fixpoint round for every owned shard; replies with
-        ``(shard index, pops, encoded changed states, leftover dirty)``
-        per shard, plus the spans and progress events collected
-        worker-side when the master asked for them (it re-emits both
-        into its own tree/reporter — workers never write the trace file
-        or talk to the service layer).  Mirrors
-        :meth:`SpeculativeCacheAnalysis._run_shards`' ``run_one`` exactly
-        (a shard with no seeds pops nothing and changes nothing, matching
-        the serial backend's seeding filter).
-        """
-        delta_states = decode_state_map(delta_blob, self.analysis.universe)
-        self.mirror.update(delta_states)
-        delta = set(delta_states)
-        order = self.order
-        replies: list[tuple[int, int, bytes, bool]] = []
-        spans: list[dict] = []
-        # Collection only when the master is tracing/watching: otherwise
-        # the shard spans below stay on the disabled (duration-only)
-        # fast path and progress publishing stays a no-op.
-        collect = tracer().collecting() if want_spans else contextlib.nullcontext()
-        progress = CollectingReporter() if want_progress else None
-        with collect as collected, reporting(progress):
-            for shard in self.shards:
-                with span("fixpoint.shard", shard=shard.index) as shard_span:
-                    local_normal = dict(self.mirror)
-                    for block in sorted(
-                        delta & shard.branch_blocks, key=lambda b: order.get(b, 0)
-                    ):
-                        shard.dirty[block].add(None)
-                    seeds = [block for block in shard.dirty if shard.dirty[block]]
-                    seeds.sort(key=lambda b: order.get(b, 0))
-                    local_changed: set[str] = set()
-                    pops = self.analysis._run_sparse_pass(
-                        normal=local_normal,
-                        speculative=shard.slots,
-                        dirty=shard.dirty,
-                        seeds=seeds,
-                        order=order,
-                        chooser=shard.chooser,
-                        scenarios_by_branch=shard.scenarios_by_branch,
-                        policy=self.policy,
-                        visits=shard.visits,
-                        normal_changed=local_changed,
-                        description=f"sharded speculative fixpoint (shard {shard.index})",
-                    )
-                    changed_blob = encode_state_map(
-                        {block: local_normal[block] for block in local_changed}
-                    )
-                    shard_span.set(
-                        pops=pops,
-                        changed_blocks=len(local_changed),
-                        reply_bytes=len(changed_blob),
-                    )
-                leftover_dirty = any(shard.dirty[name] for name in shard.dirty)
-                replies.append((shard.index, pops, changed_blob, leftover_dirty))
-                if progress is not None:
-                    progress.publish(
-                        "fixpoint.shard",
-                        shard=shard.index,
-                        pops=pops,
-                        changed_blocks=len(local_changed),
-                    )
-            if want_spans:
-                spans = collected.spans
-        return replies, spans, progress.events if progress is not None else []
-
-    def _finalize(self) -> tuple[list[tuple[int, dict, DepthChooser]], dict]:
-        """Hand the accumulated shard state back to the master: the
-        non-empty slot dictionaries and the per-shard chooser (both
-        value-equal under pickling — slots hold the same abstract-state
-        dataclasses the codec round-trips, and the chooser's windows are
-        frozen dataclasses compared by value everywhere), plus this
-        worker's metrics snapshot for the master to absorb."""
-        entries = [
-            (
-                shard.index,
-                {name: slots for name, slots in shard.slots.items() if slots},
-                shard.chooser,
-            )
-            for shard in self.shards
-        ]
-        metrics().counter("fixpoint.slot_retransfers").inc(
-            self.analysis._slot_transfers
-        )
-        self.analysis._slot_transfers = 0
-        return entries, metrics().snapshot()

@@ -48,11 +48,10 @@ class CacheAnalysisResult:
     still reports the original computation — the lookup itself is
     near-free and not an "analysis time".
 
-    ``shard_backend_used`` and ``provenance`` are observational
-    (``compare=False``): they record *how* the verdict was produced —
-    which shard backend executed a sharded run, and the replayable
+    ``provenance`` is observational (``compare=False``): it records *how*
+    the verdict was produced — the replayable
     :class:`~repro.obs.provenance.ProvenanceStamp` the engine attaches —
-    and never participate in equality, result keys, or fingerprints.
+    and never participates in equality, result keys, or fingerprints.
     """
 
     program_name: str
@@ -67,15 +66,17 @@ class CacheAnalysisResult:
     num_virtual_edges: int = 0
     num_virtual_edges_active: int = 0
     from_cache: bool = False
-    shard_backend_used: str | None = field(default=None, compare=False)
     provenance: Any = field(default=None, compare=False)
 
     def __setstate__(self, state):
-        # Artifacts pickled before the telemetry fields existed must stay
-        # readable (and `dataclasses.replace`-able) without a store format
-        # bump: default the missing observational fields.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("shard_backend_used", None)
+        # Artifacts pickled by older releases must stay readable (and
+        # `dataclasses.replace`-able) without a store format bump: default
+        # the observational field they may lack, and drop since-removed
+        # fields they may carry.
+        self.__dict__.update(
+            (name, value) for name, value in state.items()
+            if name in self.__dataclass_fields__
+        )
         self.__dict__.setdefault("provenance", None)
 
     # ------------------------------------------------------------------

@@ -25,9 +25,6 @@ def analyze_speculative(
     depth_hit: int | None = None,
     dynamic_depth_bounding: bool | None = None,
     use_shadow_state: bool | None = None,
-    scenario_shards: int = 1,
-    shard_threads: bool = False,
-    shard_backend: str | None = None,
     prune_scenarios: bool = False,
 ) -> CacheAnalysisResult:
     """Run the speculation-sound must-hit analysis on ``program``.
@@ -35,14 +32,6 @@ def analyze_speculative(
     Either pass a full :class:`SpeculationConfig`, or override individual
     knobs (merge strategy, ``bm``/``bh`` depths, dynamic bounding, shadow
     state); unspecified knobs keep the paper's defaults.
-
-    ``scenario_shards >= 2`` selects the scenario-sharded scheduler
-    (groups of colors solved against an outer normal-state fixpoint
-    loop); ``shard_backend`` picks where the shard fixpoints execute —
-    ``"serial"``, ``"threads"``, or ``"processes"`` (bit-identical by
-    construction; see the backend section of
-    :mod:`repro.analysis.multicolor`).  None defers to the legacy
-    ``shard_threads`` flag, then ``REPRO_SHARD_BACKEND``, then serial.
 
     ``prune_scenarios`` runs the secret-taint pre-analysis and skips the
     speculation scenarios it proves irrelevant (access-free windows) —
@@ -75,9 +64,6 @@ def analyze_speculative(
         program,
         cache_config=cache_config,
         speculation=config,
-        scenario_shards=scenario_shards,
-        shard_threads=shard_threads,
-        shard_backend=shard_backend,
         prune_scenarios=prune_scenarios,
     )
     return engine.run()

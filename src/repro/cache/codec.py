@@ -1,18 +1,17 @@
 """Compact, versioned binary serialization of abstract cache states.
 
-Abstract states cross process boundaries in two places: the
-scenario-sharded fixpoint's process backend ships normal-state deltas to
-its workers every outer round (:mod:`repro.analysis.multicolor`), and the
-tier-2 :class:`~repro.service.store.ResultStore` persists results whose
-``entry_states`` are abstract states.  Pickling the object graph pays for
-class dispatch, per-entry :class:`~repro.ir.memory.MemoryBlock` instances
-and repeated symbol strings on every entry; this codec instead writes a
-*symbol-interned varint format*:
+Abstract states outlive the analysis that computed them in retained
+incremental-analysis snapshots (:mod:`repro.engine.incremental`), which
+hold every block's normal state and speculative slots.  Pickling the
+object graph pays for class dispatch, per-entry
+:class:`~repro.ir.memory.MemoryBlock` instances and repeated symbol
+strings on every entry; this codec instead writes a *symbol-interned
+varint format*:
 
 * one header (magic + format version + payload tag) per blob;
 * one symbol table per blob — each distinct symbol name is written once
   and referenced by index, which is what makes encoding a whole
-  block → state *map* (the shard-delta shape) dramatically smaller than
+  block → state *map* (the snapshot shape) dramatically smaller than
   per-state pickles: programs reuse the same few dozen symbols in every
   state;
 * ages, block indices, geometry and counts as LEB128 varints (block
@@ -49,8 +48,8 @@ from repro.ir.memory import BlockUniverse, MemoryBlock
 MAGIC = b"RSC"
 
 #: Bump whenever the byte layout changes incompatibly.  Decoders reject
-#: every other version outright (the persistent store and the shard wire
-#: both prefer recomputation over misinterpretation).
+#: every other version outright (snapshot consumers prefer recomputation
+#: over misinterpretation).
 CODEC_VERSION = 1
 
 #: Payload tags (one state vs a block-name → state map).
@@ -374,7 +373,7 @@ def decode_state(data: bytes, universe: BlockUniverse | None = None):
 
 def encode_state_map(states: Mapping[str, object]) -> bytes:
     """Encode a block-name → state map in one blob with a shared symbol
-    table — the shard-delta wire shape.  Keys are written in sorted order
+    table — the snapshot shape.  Keys are written in sorted order
     (canonical bytes for equal maps)."""
     table = _SymbolTable()
     body = bytearray()

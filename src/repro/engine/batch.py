@@ -35,8 +35,6 @@ from repro.engine.engine import AnalysisEngine, _copy_result, compile_request, e
 from repro.engine.pool import (
     _POOL_COLLECT_FAILURES,
     _POOL_SETUP_FAILURES,
-    PersistentWorkerPool,
-    WorkerPoolError,
     default_max_workers,
     discard_shared_pool,
     shared_process_pool,
@@ -45,8 +43,6 @@ from repro.engine.request import AnalysisRequest
 from repro.obs import tracer
 
 __all__ = [
-    "PersistentWorkerPool",
-    "WorkerPoolError",
     "default_max_workers",
     "discard_shared_pool",
     "run_batch",

@@ -1,34 +1,21 @@
-"""Process-pool primitives shared by the batch executor and the sharded
-analysis engine.
+"""The process pool behind parallel batch execution.
 
 This module deliberately imports nothing from the rest of the package
-except :mod:`repro.obs` (which itself imports nothing from ``repro``):
-it sits below both :mod:`repro.engine.batch` (which fans analysis
-batches out over the shared executor) and
-:mod:`repro.analysis.multicolor` (whose process shard backend keeps
-stateful :class:`PersistentWorkerPool` workers), so either can use it
-without an import cycle.
+except :mod:`repro.obs` (which itself imports nothing from ``repro``),
+so it sits below :mod:`repro.engine.batch` without an import cycle.
 
-Two kinds of pool live here:
-
-* the **shared executor** — one process-wide
-  :class:`~concurrent.futures.ProcessPoolExecutor`, created lazily and
-  reused across calls so repeated batches and shard rounds do not pay
-  fork+import startup each time;
-* :class:`PersistentWorkerPool` — long-lived worker processes with
-  *affinity* (callers address workers by index and workers keep state
-  between requests), which a futures executor cannot provide.
+It holds the **shared executor** — one process-wide
+:class:`~concurrent.futures.ProcessPoolExecutor`, created lazily and
+reused across calls so repeated batches do not pay fork+import startup
+each time — and the ``REPRO_MAX_WORKERS`` worker-count knob.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
-import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Callable, Sequence
 
 from repro.obs import metrics
 
@@ -112,164 +99,3 @@ def discard_shared_pool() -> None:
 
 
 atexit.register(discard_shared_pool)
-
-
-# ----------------------------------------------------------------------
-# Persistent workers with affinity
-# ----------------------------------------------------------------------
-class WorkerPoolError(RuntimeError):
-    """A :class:`PersistentWorkerPool` infrastructure failure: workers
-    could not start, a worker died, or a worker's handler raised (the
-    remote traceback is included in the message).  Callers are expected
-    to fall back to in-process execution — which, for deterministic
-    handlers, also reproduces any genuine handler bug with a local
-    traceback."""
-
-
-#: Sentinel asking a persistent worker to exit its loop.
-_WORKER_STOP = "__repro_worker_stop__"
-
-
-def _persistent_worker_main(conn, handler_factory, init_args) -> None:
-    """Entry point of one persistent worker process: build the stateful
-    handler once, then answer request messages until told to stop."""
-    try:
-        handler = handler_factory(*init_args)
-    except BaseException:
-        try:
-            conn.send(("init-error", traceback.format_exc()))
-        except (OSError, ValueError):
-            pass
-        return
-    try:
-        conn.send(("ready", None))
-        while True:
-            message = conn.recv()
-            if message == _WORKER_STOP:
-                return
-            try:
-                conn.send(("ok", handler(message)))
-            except BaseException:
-                conn.send(("error", traceback.format_exc()))
-    except (EOFError, OSError):
-        return  # master went away; nothing left to answer
-
-
-class PersistentWorkerPool:
-    """Long-lived worker processes with *affinity*: each worker keeps the
-    state its handler accumulates across requests, and callers address
-    workers by index.  This is what :class:`ProcessPoolExecutor` cannot
-    provide — its tasks land on arbitrary workers — and what the sharded
-    fixpoint needs: shard state stays resident in its worker and only
-    small deltas cross the pipe each round.
-
-    ``handler_factory(*init_args)`` runs once inside each worker and
-    returns a callable ``handler(message) -> reply``; both the factory
-    and the per-worker init args must be picklable.  All failures —
-    setup, a dead worker, a handler exception — surface as
-    :class:`WorkerPoolError`.
-    """
-
-    def __init__(
-        self,
-        handler_factory: Callable[..., Callable[[Any], Any]],
-        per_worker_args: Sequence[tuple],
-        name: str = "repro-worker",
-    ):
-        if not per_worker_args:
-            raise ValueError("a worker pool needs at least one worker")
-        context = multiprocessing.get_context()
-        self._procs: list = []
-        self._conns: list = []
-        try:
-            for index, init_args in enumerate(per_worker_args):
-                parent_conn, child_conn = context.Pipe()
-                proc = context.Process(
-                    target=_persistent_worker_main,
-                    args=(child_conn, handler_factory, tuple(init_args)),
-                    name=f"{name}-{index}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            for index in range(len(self._procs)):
-                kind, payload = self._recv(index)
-                if kind != "ready":
-                    raise WorkerPoolError(
-                        f"worker {index} failed to initialise:\n{payload}"
-                    )
-        except WorkerPoolError:
-            metrics().counter("pool.worker_failures").inc()
-            self.close()
-            raise
-        except _POOL_SETUP_FAILURES as error:
-            metrics().counter("pool.worker_failures").inc()
-            self.close()
-            raise WorkerPoolError(f"could not start worker processes: {error}") from error
-        metrics().counter("pool.workers_started").inc(len(self._procs))
-
-    @property
-    def num_workers(self) -> int:
-        return len(self._procs)
-
-    def submit(self, worker: int, message: Any) -> None:
-        """Send one request to ``worker`` without waiting for the reply."""
-        try:
-            self._conns[worker].send(message)
-        except (OSError, ValueError) as error:
-            metrics().counter("pool.worker_failures").inc()
-            raise WorkerPoolError(f"worker {worker} is gone: {error}") from error
-        metrics().counter("pool.dispatches").inc()
-
-    def result(self, worker: int) -> Any:
-        """Collect ``worker``'s next reply (blocking)."""
-        kind, payload = self._recv(worker)
-        if kind == "ok":
-            metrics().counter("pool.replies").inc()
-            return payload
-        metrics().counter("pool.worker_failures").inc()
-        raise WorkerPoolError(f"worker {worker} raised:\n{payload}")
-
-    def request_all(self, messages: Sequence[Any]) -> list:
-        """Fan one message out to each worker, then collect every reply
-        in worker order (``messages[i]`` goes to worker ``i``)."""
-        if len(messages) != self.num_workers:
-            raise ValueError(
-                f"got {len(messages)} messages for {self.num_workers} workers"
-            )
-        for worker, message in enumerate(messages):
-            self.submit(worker, message)
-        return [self.result(worker) for worker in range(self.num_workers)]
-
-    def _recv(self, worker: int):
-        try:
-            return self._conns[worker].recv()
-        except (EOFError, OSError) as error:
-            raise WorkerPoolError(f"worker {worker} died") from error
-
-    def close(self) -> None:
-        """Stop every worker (idempotent; tolerates dead workers)."""
-        for conn in self._conns:
-            try:
-                conn.send(_WORKER_STOP)
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

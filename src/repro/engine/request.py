@@ -24,13 +24,6 @@ class AnalysisKind(str, Enum):
     SPECULATIVE = "speculative"  # Algorithms 2/3, speculation-sound
 
 
-#: Valid values of the sharded engine's ``shard_backend`` execution axis
-#: (the canonical definition; the engine and the wire validate against
-#: it).  None on a request means "resolve at execution time": the
-#: ``REPRO_SHARD_BACKEND`` environment variable, then ``"serial"``.
-SHARD_BACKENDS = ("serial", "threads", "processes")
-
-
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One declarative unit of analysis work.
@@ -39,24 +32,6 @@ class AnalysisRequest:
     the speculative analysis reads the flag from its
     :class:`SpeculationConfig`.  ``label`` is carried through for
     reporting and never affects caching.
-
-    ``scenario_shards`` selects the speculative engine's scheduler: 1 (the
-    default) is the canonical sparse fixpoint, >= 2 partitions the
-    speculation scenarios into that many shards solved around an outer
-    normal-state fixpoint loop (see
-    :mod:`repro.analysis.multicolor`).  It only affects
-    :data:`AnalysisKind.SPECULATIVE` runs, and participates in the result
-    key: the sharded scheduler computes the exact (unwidened) fixpoint,
-    whose iteration counts — and, on widening-active programs,
-    classifications — legitimately differ from the canonical engine's.
-
-    ``shard_backend`` picks *where* a sharded run executes —
-    ``"serial"``, ``"threads"`` or ``"processes"``; None defers to the
-    ``REPRO_SHARD_BACKEND`` environment variable, then ``"serial"``.
-    All backends are bit-identical (states, iteration counts,
-    classifications), so like ``label`` it is an execution hint: it never
-    affects equality, the result key, or the persistent store — existing
-    keys stay warm whatever backend computed them.
     """
 
     source: str
@@ -69,20 +44,18 @@ class AnalysisRequest:
     unroll: bool = True
     inline: bool = True
     max_unroll_iterations: int = 4096
-    scenario_shards: int = 1
     #: Run the secret-taint pre-analysis and drop speculation scenarios
     #: whose windows are provably access-free (see
     #: :mod:`repro.analysis.taint`).  Classifications and verdicts are
     #: bit-identical to the unpruned run, but reported iteration counts
-    #: are not — so like ``scenario_shards`` the knob participates in the
-    #: result key (only when on, keeping historical keys warm).
+    #: are not — so the knob participates in the result key (only when
+    #: on, keeping historical keys warm).
     prune_scenarios: bool = False
-    shard_backend: str | None = field(default=None, compare=False)
     label: str | None = field(default=None, compare=False)
     #: ``result_key()`` of a prior request whose retained snapshot should
     #: warm-start this one (incremental re-analysis; see
     #: :mod:`repro.engine.incremental`).  Purely an execution hint, like
-    #: ``shard_backend``: warm results are bit-identical to cold ones, so
+    #: ``label``: warm results are bit-identical to cold ones, so
     #: the lineage handle never affects equality or the result key, and a
     #: missing/evicted/incompatible snapshot silently means a cold run.
     warm_from: str | None = field(default=None, compare=False)
@@ -169,19 +142,10 @@ class AnalysisRequest:
                 parts.append(self.use_shadow_state)
             else:
                 parts.append(self.resolved_speculation)
-                # Only sharded runs extend the key: default requests keep
-                # their historical keys, so persistent stores written
-                # before the knob existed stay warm.  The exact shard
-                # count is part of the key even though sharded
-                # *classifications* are shard-count invariant, because the
-                # reported iteration counts are not — and `repro submit
-                # --verify` fingerprints (which include iterations) must
-                # match a direct execution of the same request.
-                if self.scenario_shards >= 2:
-                    parts.append(("scenario_shards", self.scenario_shards))
-                # Same reasoning for pruning: classifications are
-                # identical, iteration counts are not, and fingerprints
-                # include iterations.
+                # Pruned runs extend the key (only when on, so default
+                # requests keep their historical keys): classifications
+                # are identical, but iteration counts are not, and
+                # `repro submit --verify` fingerprints include iterations.
                 if self.prune_scenarios:
                     parts.append(("prune_scenarios", True))
             key = _digest("result", *parts)

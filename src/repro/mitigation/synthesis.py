@@ -224,7 +224,7 @@ def _synthesize(
     # IR-patched program, skipping the front end and the unperturbed part
     # of the fixpoint per candidate.  Verdict-identical to the cold path;
     # the final _verify gate stays cache-free source recompilation.
-    incremental = eng.incremental_enabled and request.scenario_shards == 1
+    incremental = eng.incremental_enabled
     if incremental:
         unpatched = eng.ensure_snapshot(request)
         base_key = request.result_key()

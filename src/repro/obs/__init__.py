@@ -13,7 +13,7 @@ Four facilities live here:
   dataclasses (``EngineStats``, ``SchedulerStats``, store and pool
   counters) stay as the per-instance sources of truth; the registry is
   where cross-cutting counters that have no natural owner (fixpoint
-  pops, dirty-slot re-transfers, codec bytes, pool dispatches) land,
+  pops, dirty-slot re-transfers, pool start-ups) land,
   and :func:`repro.obs.metrics.MetricsRegistry.snapshot` is the one
   JSON-friendly view of all of them.
 * :mod:`repro.obs.tracing` — **structured tracing**: nestable spans with
@@ -23,13 +23,13 @@ Four facilities live here:
   mode worker processes use to relay their spans back through their
   existing reply channels instead of racing on the output file.
 * :mod:`repro.obs.progress` — **streaming progress**: live events from
-  running analyses (fixpoint rounds, pops, shard completions, mitigation
-  candidates) published through a thread-local reporter, collected into
-  per-job watchable event logs by the scheduler and streamed to clients
-  over the daemon's ``watch`` RPC.
+  running analyses (fixpoint pops, mitigation candidates) published
+  through a thread-local reporter, collected into per-job watchable
+  event logs by the scheduler and streamed to clients over the daemon's
+  ``watch`` RPC.
 * :mod:`repro.obs.provenance` — **provenance stamps**: a replayable
-  record (source hash, full request configuration, engine version,
-  backend used) attached to every analysis result and stored artifact.
+  record (source hash, full request configuration, engine version)
+  attached to every analysis result and stored artifact.
 
 Telemetry is observational by contract: spans and metrics never
 participate in result keys, result equality, or the deterministic

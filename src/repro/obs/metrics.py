@@ -4,7 +4,7 @@ One process-wide :class:`MetricsRegistry` (reachable via
 :func:`metrics`) unifies the counters that previously lived only in
 scattered per-instance dataclasses or nowhere at all.  Instruments are
 created on first use and are thread-safe; names are dotted paths
-(``fixpoint.pops``, ``pool.dispatches``, ``codec.bytes_shipped``), and
+(``fixpoint.pops``, ``pool.executors_started``), and
 :meth:`MetricsRegistry.snapshot` renders everything as one JSON-friendly
 dict for the daemon's ``stats`` RPC and ``repro stats --json``.
 

@@ -2,10 +2,10 @@
 
 Spans (:mod:`repro.obs.tracing`) answer *what happened* after the fact;
 progress events answer *what is happening now*.  A long-running solve —
-a sparse fixpoint over thousands of scenarios, a sharded round schedule,
-a mitigation search scoring candidates — publishes small JSON-friendly
-events through the thread-local :class:`ProgressReporter`, and the
-service layer streams them to clients over the daemon's ``watch`` RPC.
+a sparse fixpoint over thousands of scenarios, a mitigation search
+scoring candidates — publishes small JSON-friendly events through the
+thread-local :class:`ProgressReporter`, and the service layer streams
+them to clients over the daemon's ``watch`` RPC.
 
 Like every facility in :mod:`repro.obs`, progress is **observational by
 contract**: reporters are written to, never read from, by instrumented
@@ -21,9 +21,9 @@ Three reporter shapes cover the plumbing:
 * :class:`EventLog` — a bounded, sequence-numbered, watchable log with
   blocking reads.  The scheduler gives every job one; the ``watch`` RPC
   tails it.
-* :class:`CollectingReporter` — accumulates events in memory; worker
-  processes install one per round and relay the batch back through
-  their existing reply channel (mirroring span collect mode).
+* :class:`CollectingReporter` — accumulates events in memory, for a
+  caller that inspects them afterwards or relays them from a worker
+  process through its reply channel (mirroring span collect mode).
 * A multiplexer is trivial to build from :class:`ProgressReporter`
   (see ``_BatchProgress`` in :mod:`repro.service.scheduler`).
 """
@@ -56,7 +56,7 @@ class ProgressReporter:
     """Interface: something that accepts progress events.
 
     ``phase`` is a dotted path naming what is running (``fixpoint``,
-    ``fixpoint.round``, ``mitigate.candidate``); ``fields`` must be
+    ``fixpoint.pops``, ``mitigate.candidate``); ``fields`` must be
     JSON-serialisable scalars or small lists.
     """
 
@@ -83,10 +83,10 @@ NULL_REPORTER = _NullReporter()
 class CollectingReporter(ProgressReporter):
     """Accumulates events for relay through a reply channel.
 
-    Worker processes install one around each sharded round and ship
-    :attr:`events` back with the round's replies; the master republishes
-    them into its own current reporter via :func:`republish`.  Events
-    carry the worker's pid so relayed progress is attributable.
+    A worker process can install one around its work and ship
+    :attr:`events` back with its reply; the receiver re-emits them into
+    its own current reporter via :func:`republish`.  Events carry the
+    publishing process's pid so relayed progress is attributable.
     """
 
     def __init__(self):

@@ -4,11 +4,11 @@ A :class:`ProvenanceStamp` is attached to every engine-executed
 :class:`~repro.analysis.result.CacheAnalysisResult` (and therefore to
 every artifact the persistent store writes): the source content hash,
 the *resolved* cache geometry and speculation configuration, the engine
-version, the backend that executed the run, and the full request in
-wire shape.  That is sufficient to replay the verdict bit-for-bit —
-:meth:`ProvenanceStamp.replay_request` rebuilds the exact
-``AnalysisRequest``, and re-running it must produce a result with the
-same semantic fingerprint (pinned by ``tests/test_obs.py``).
+version, and the full request in wire shape.  That is sufficient to
+replay the verdict bit-for-bit — :meth:`ProvenanceStamp.replay_request`
+rebuilds the exact ``AnalysisRequest``, and re-running it must produce a
+result with the same semantic fingerprint (pinned by
+``tests/test_obs.py``).
 
 The stamp is observational: it lives in a ``compare=False`` field, is
 excluded from result fingerprints, and never participates in cache
@@ -62,8 +62,6 @@ def _request_wire(request: Any) -> dict:
         "unroll": request.unroll,
         "inline": request.inline,
         "max_unroll_iterations": request.max_unroll_iterations,
-        "scenario_shards": request.scenario_shards,
-        "shard_backend": request.shard_backend,
         "label": request.label,
     }
 
@@ -77,10 +75,6 @@ class ProvenanceStamp:
     compile_key: str
     result_key: str
     kind: str
-    #: Shard backend that actually executed the run (``"serial"`` /
-    #: ``"threads"`` / ``"processes"``), or None for unsharded runs.
-    backend: str | None
-    scenario_shards: int
     #: The *resolved* configurations (defaults applied), so the stamp is
     #: meaningful even when the request left them as None.
     cache_config: dict = field(repr=False)
@@ -97,24 +91,30 @@ class ProvenanceStamp:
             "compile_key": self.compile_key,
             "result_key": self.result_key,
             "kind": self.kind,
-            "backend": self.backend,
-            "scenario_shards": self.scenario_shards,
             "cache_config": self.cache_config,
             "speculation": self.speculation,
             "request": self.request,
             "created_at": self.created_at,
         }
 
+    def __setstate__(self, state):
+        # Stamps pickled by older releases carry since-removed fields;
+        # keep only the current ones.
+        self.__dict__.update(
+            (name, value) for name, value in state.items()
+            if name in self.__dataclass_fields__
+        )
+
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "ProvenanceStamp":
+        """Rebuild a stamp; keys this release does not know (fields of
+        older stamps) are ignored."""
         return cls(
             engine_version=str(data["engine_version"]),
             source_sha256=str(data["source_sha256"]),
             compile_key=str(data["compile_key"]),
             result_key=str(data["result_key"]),
             kind=str(data["kind"]),
-            backend=data.get("backend"),
-            scenario_shards=int(data.get("scenario_shards", 1)),
             cache_config=dict(data["cache_config"]),
             speculation=(
                 None if data.get("speculation") is None else dict(data["speculation"])
@@ -135,12 +135,11 @@ class ProvenanceStamp:
         return request_from_wire(self.request)
 
 
-def stamp_for_request(request: Any, backend: str | None = None) -> ProvenanceStamp:
+def stamp_for_request(request: Any) -> ProvenanceStamp:
     """Stamp one request at execution time.
 
-    ``backend`` is the shard backend the run actually used (None for
-    unsharded runs).  The request is read duck-typed so this stays
-    importable from the engine layer without cycles.
+    The request is read duck-typed so this stays importable from the
+    engine layer without cycles.
     """
     from repro import __version__  # deferred: repro.__init__ imports widely
 
@@ -150,8 +149,6 @@ def stamp_for_request(request: Any, backend: str | None = None) -> ProvenanceSta
         compile_key=request.compile_key(),
         result_key=request.result_key(),
         kind=request.kind.value,
-        backend=backend,
-        scenario_shards=request.scenario_shards,
         cache_config=_config_dict(request.resolved_cache_config) or {},
         speculation=(
             _config_dict(request.resolved_speculation)

@@ -1,7 +1,7 @@
 """Structured tracing: nestable spans with a JSON-lines exporter.
 
 A :class:`Span` records one timed phase of a computation — ``frontend``,
-``vcfg``, ``fixpoint``, ``fixpoint.round``, ``scheduler.dispatch`` — with
+``vcfg``, ``fixpoint``, ``classify``, ``scheduler.dispatch`` — with
 monotonic timing and free-form attributes.  Spans nest through a
 thread-local context stack, so the engine, the analyses and the service
 compose into one tree without passing handles around.
@@ -270,17 +270,6 @@ class Tracer:
         if not self.enabled:
             return _DisabledSpan()
         return Span(self, name, attrs)
-
-    def child_span(self, name: str, parent, **attrs) -> "Span | _DisabledSpan":
-        """Open a span as an explicit child of ``parent`` — for work
-        dispatched to pool threads, whose own context stacks are empty.
-        On the dispatching thread this is equivalent to :meth:`span`
-        (the context stack takes precedence when non-empty)."""
-        opened = self.span(name, **attrs)
-        if isinstance(opened, Span) and isinstance(parent, Span):
-            opened.parent_id = parent.span_id
-            opened.trace_id = parent.trace_id
-        return opened
 
     def current(self) -> Span | None:
         stack = getattr(self._local, "stack", None)

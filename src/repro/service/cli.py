@@ -13,7 +13,7 @@ Subcommands::
     repro trace        span tree of one daemon job (by job id)
 
 ``repro submit --watch`` streams the job's lifecycle + progress events
-(fixpoint rounds, shard completions, mitigation candidates) live over
+(fixpoint pops, mitigation candidates) live over
 the daemon's ``watch`` RPC while the analysis runs.  ``repro stats
 --prom`` renders the daemon's full metrics registry in Prometheus text
 exposition format for scrapers; the human-readable ``repro stats``
@@ -209,9 +209,7 @@ def _build_request(args: argparse.Namespace, source: str) -> AnalysisRequest:
         line_size=args.line_size,
         cache_config=cache_config,
         speculation=speculation,
-        scenario_shards=getattr(args, "scenario_shards", 1),
         prune_scenarios=getattr(args, "prune_scenarios", False),
-        shard_backend=getattr(args, "shard_backend", None),
         label=args.label,
     )
 
@@ -699,11 +697,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{incremental['retained']} snapshots retained "
             f"({incremental['snapshots_stored']} stored)"
         )
-    if "sharded_jobs" in sched:
-        print(
-            f"sharding     : {sched['sharded_jobs']} sharded jobs, "
-            f"{sched['fanout_dispatches']} fan-out dispatches"
-        )
     slow = stats.get("slow_jobs") or []
     if slow:
         print(f"slow jobs    : {len(slow)} over threshold (most recent last)")
@@ -928,15 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_geometry_args(submit)
     submit.add_argument("--depth-miss", type=int, default=None,
                         help="speculation depth bound bm")
-    submit.add_argument("--scenario-shards", type=int, default=1,
-                        help="speculative engine scheduler: 1 = canonical sparse "
-                             "fixpoint, N >= 2 = N scenario shards around an outer "
-                             "normal-state fixpoint (exact, unwidened results)")
-    submit.add_argument("--shard-backend", default=None,
-                        choices=("serial", "threads", "processes"),
-                        help="where sharded fixpoints execute (bit-identical "
-                             "results either way; default: the server's "
-                             "REPRO_SHARD_BACKEND, then serial)")
     submit.add_argument("--prune-scenarios", action="store_true",
                         help="taint-prune speculation scenarios with provably "
                              "access-free windows before solving (identical "

@@ -27,7 +27,7 @@ from typing import Any, Mapping
 
 from repro.analysis.result import CacheAnalysisResult
 from repro.cache.config import CacheConfig
-from repro.engine.request import SHARD_BACKENDS, AnalysisKind, AnalysisRequest
+from repro.engine.request import AnalysisKind, AnalysisRequest
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 
@@ -106,9 +106,7 @@ def request_to_wire(request: AnalysisRequest) -> dict:
         "unroll": request.unroll,
         "inline": request.inline,
         "max_unroll_iterations": request.max_unroll_iterations,
-        "scenario_shards": request.scenario_shards,
         "prune_scenarios": request.prune_scenarios,
-        "shard_backend": request.shard_backend,
         "label": request.label,
         "warm_from": request.warm_from,
     }
@@ -125,11 +123,18 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
         kind = AnalysisKind(data.get("kind", AnalysisKind.SPECULATIVE.value))
     except ValueError as error:
         raise WireError(f"unknown analysis kind {data.get('kind')!r}") from error
-    shard_backend = data.get("shard_backend")
-    if shard_backend is not None and shard_backend not in SHARD_BACKENDS:
+    # Clients before 1.7 send ``scenario_shards`` (1 unless they asked for
+    # the since-removed sharded scheduler) and may send a backend key,
+    # which is ignored.  One shard is exactly today's solver; more would
+    # silently come back with different iteration counts, so refuse them.
+    try:
+        legacy_shards = int(data.get("scenario_shards", 1))
+    except (TypeError, ValueError) as error:
+        raise WireError(f"malformed request payload: {error}") from error
+    if legacy_shards > 1:
         raise WireError(
-            f"unknown shard backend {shard_backend!r} "
-            f"(expected one of {SHARD_BACKENDS})"
+            f"scenario_shards={legacy_shards} is no longer supported: "
+            "scenario sharding was removed in repro 1.7; omit the field"
         )
     # Pre-incremental clients simply omit the lineage handle; a handle the
     # server has no snapshot for silently degrades to a cold run, so no
@@ -160,14 +165,9 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             unroll=bool(data.get("unroll", True)),
             inline=bool(data.get("inline", True)),
             max_unroll_iterations=int(data.get("max_unroll_iterations", 4096)),
-            # Payloads from pre-sharding clients default to the canonical
-            # (unsharded) engine; pre-backend payloads default to the
-            # server's own backend resolution (env, then serial).
-            scenario_shards=int(data.get("scenario_shards", 1)),
             # Pre-taint clients never prune (legacy default off), so
             # their result keys — and any stored results — are unchanged.
             prune_scenarios=bool(data.get("prune_scenarios", False)),
-            shard_backend=shard_backend,
             label=data.get("label"),
             warm_from=warm_from,
         )
@@ -224,10 +224,10 @@ def result_to_wire(result: CacheAnalysisResult) -> dict:
 
 #: Wire-result keys that describe *how* a result was produced rather
 #: than *what* was computed; excluded from the semantic fingerprint.
-#: The provenance stamp carries a wall-clock timestamp and the executing
-#: backend, so it must never enter the digest — "replayed from the
-#: store" and "recomputed on another backend" compare equal exactly when
-#: the verdicts are bit-identical.
+#: The provenance stamp carries a wall-clock timestamp and the engine
+#: version, so it must never enter the digest — "replayed from the
+#: store" and "recomputed from scratch" compare equal exactly when the
+#: verdicts are bit-identical.
 _PROVENANCE_KEYS = ("analysis_time", "from_cache", "provenance")
 
 

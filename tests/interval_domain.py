@@ -1,10 +1,11 @@
 """A textbook interval domain and a small interval analysis over the IR.
 
 The paper points out that its lifting is independent of the abstract
-domain ("the abstract domain may be interval or octagonal").  This module
-provides the interval domain both to demonstrate that the generic solver
-is domain-agnostic and to give the test suite a second, simpler domain on
-which to exercise the worklist machinery.
+domain ("the abstract domain may be interval or octagonal").  This
+test-only module instantiates the generic solver
+(:mod:`repro.ai.solver`) with intervals, which demonstrates that the
+solver is domain-agnostic and gives the tests a second, simpler domain
+on which to exercise the worklist machinery.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Unit tests for the generic solver and the interval domain."""
 
 import pytest
+from interval_domain import Interval, IntervalState, analyze_intervals
 
 from repro import compile_source
-from repro.ai.interval import Interval, IntervalState, analyze_intervals
 from repro.ai.solver import solve_forward
 from repro.cache.abstract import CacheState
 from repro.ir.memory import MemoryBlock

@@ -162,7 +162,7 @@ class TestCompactness:
         assert encoded * 5 <= pickled, (encoded, pickled)
 
     def test_state_map_much_smaller_than_pickle(self):
-        """The shard-delta shape (many states sharing few symbols) is the
+        """The snapshot shape (many states sharing few symbols) is the
         codec's raison d'être; pickle memoises repeated strings too (and
         :class:`MemoryBlock`'s field-only ``__reduce__`` keeps its pickle
         form tight), so the map-level win is smaller than the per-state

@@ -2,9 +2,9 @@
 request/cache layers, batch execution, and the apps' engine routing."""
 
 import pytest
+from interval_domain import Interval
 
 from repro import compile_source
-from repro.ai.interval import Interval
 from repro.analysis import analyze_baseline, analyze_speculative
 from repro.apps.sidechannel import compare_leaks
 from repro.apps.wcet import compare_wcet

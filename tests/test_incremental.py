@@ -171,30 +171,6 @@ class TestWarmColdIdentity:
         reemitted_cfg = compile_source(reemitted).cfg
         assert diff_cfgs(base_cfg, reemitted_cfg).is_identical
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_warm_matches_sharded_cold(self, backend):
-        """The warm (unsharded) verdict equals a scenario-sharded cold
-        run's on every backend — the sharded backends are pinned
-        bit-identical to the canonical engine elsewhere; this closes the
-        triangle."""
-        warm, _, _ = warm_vs_cold(
-            BASE_SOURCE, EDITS["statement_add"], GEOMETRIES[0]
-        )
-        sharded = execute_request(
-            _request(
-                EDITS["statement_add"],
-                GEOMETRIES[0],
-                scenario_shards=2,
-                shard_backend=backend,
-            )
-        )
-        assert warm.classifications == sharded.classifications
-        assert warm.entry_states == sharded.entry_states
-        assert warm.leak_site_count == sharded.leak_site_count
-        assert warm.hit_count == sharded.hit_count
-        assert warm.miss_count == sharded.miss_count
-        assert warm.speculative_miss_count == sharded.speculative_miss_count
-
 
 # ----------------------------------------------------------------------
 # The warm_from lineage handle
@@ -321,9 +297,6 @@ class TestColdFallbacks:
     def test_eligibility(self):
         assert snapshot_eligible(AnalysisRequest.speculative(BASE_SOURCE))
         assert not snapshot_eligible(AnalysisRequest.baseline(BASE_SOURCE))
-        assert not snapshot_eligible(
-            AnalysisRequest.speculative(BASE_SOURCE, scenario_shards=2)
-        )
 
 
 # ----------------------------------------------------------------------

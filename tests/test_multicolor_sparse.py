@@ -1,23 +1,21 @@
 """Tests for the sparse multi-color engine rebuild: differential equality
-against the retained dense reference, the scenario-sharded scheduler, the
-heap-based window construction, the postdominator-tree convergence fix,
-and the precomputed slot-placement indices."""
+against the dense reference (``tests/dense_reference.py``), the heap-based
+window construction, the postdominator-tree convergence fix, and the
+precomputed slot-placement indices."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from dense_reference import DenseReferenceAnalysis
 
 from repro import compile_source
-from repro.analysis import analyze_speculative
 from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.client import build_client_source
 from repro.bench.crypto import CRYPTO_BENCHMARKS, crypto_kernel
-from repro.bench.programs import branchy_kernel_source, wcet_benchmark_source
+from repro.bench.programs import wcet_benchmark_source
 from repro.cache.config import CacheConfig
-from repro.engine.engine import execute_request
-from repro.engine.request import AnalysisRequest
 from repro.ir.basicblock import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.dominators import (
@@ -27,7 +25,6 @@ from repro.ir.dominators import (
     postdominator_tree,
 )
 from repro.ir.instructions import CondBranch, Const, Jump, Return, Temp
-from repro.service.wire import request_from_wire, request_to_wire
 from repro.speculation.config import SpeculationConfig
 from repro.speculation.merge import MergeStrategy
 from repro.speculation.vcfg import SpeculativeWindow, build_vcfg, compute_window
@@ -108,8 +105,8 @@ class TestSparseMatchesDenseReference:
     def test_differential_matrix(
         self, random_programs, strategy, geometry, config_name
     ):
-        """The sparse engine's result is identical to the retained dense
-        path across merge strategies x cache geometries x speculation
+        """The sparse engine's result is identical to the dense reference
+        across merge strategies x cache geometries x speculation
         configs on seeded random programs.  The engines share one pop
         schedule by construction, so even the iteration and widening
         counters must agree — asserting them documents that the sparse
@@ -117,8 +114,8 @@ class TestSparseMatchesDenseReference:
         cache = GEOMETRIES[geometry]
         speculation = getattr(SpeculationConfig, config_name)().with_strategy(strategy)
         for program in random_programs:
-            dense = SpeculativeCacheAnalysis(
-                program, cache_config=cache, speculation=speculation, mode="dense"
+            dense = DenseReferenceAnalysis(
+                program, cache_config=cache, speculation=speculation
             ).run()
             sparse = SpeculativeCacheAnalysis(
                 program, cache_config=cache, speculation=speculation
@@ -132,9 +129,7 @@ class TestSparseMatchesDenseReference:
         for name in ("hash", "des", "str2key"):
             kernel = crypto_kernel(name, 64, 64)
             program = compile_source(build_client_source(kernel, 2880))
-            dense = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache, mode="dense"
-            ).run()
+            dense = DenseReferenceAnalysis(program, cache_config=bench_cache).run()
             sparse = SpeculativeCacheAnalysis(
                 program, cache_config=bench_cache
             ).run()
@@ -145,120 +140,11 @@ class TestSparseMatchesDenseReference:
         """adpcm is the corpus kernel whose fixpoint actually widens; the
         schedules (and therefore the widening timing) must still agree."""
         program = compile_source(wcet_benchmark_source("adpcm"))
-        dense = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, mode="dense"
-        ).run()
+        dense = DenseReferenceAnalysis(program, cache_config=bench_cache).run()
         sparse = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
         assert dense.widenings > 0, "adpcm stopped widening; pick another kernel"
         assert sparse.classifications == dense.classifications
         assert sparse.widenings == dense.widenings
-
-    def test_unknown_mode_rejected(self, quantl_program):
-        with pytest.raises(ValueError):
-            SpeculativeCacheAnalysis(quantl_program, mode="eager")
-
-
-# ----------------------------------------------------------------------
-# Scenario sharding
-# ----------------------------------------------------------------------
-class TestScenarioSharding:
-    def test_shard_counts_agree_on_widening_free_kernels(self, bench_cache):
-        """Without widening the fixpoint is the unique lfp, so every shard
-        count — including the canonical unsharded engine — must produce
-        identical classifications."""
-        for source in (
-            branchy_kernel_source(6),
-            build_client_source(crypto_kernel("hash", 64, 64), 2880),
-        ):
-            program = compile_source(source)
-            canonical = SpeculativeCacheAnalysis(
-                program, cache_config=bench_cache
-            ).run()
-            for shards in (2, 3, 8):
-                sharded = SpeculativeCacheAnalysis(
-                    program, cache_config=bench_cache, scenario_shards=shards
-                ).run()
-                assert sharded.classifications == canonical.classifications
-                assert sharded.widenings == 0
-
-    def test_threaded_sharding_matches_serial(self, bench_cache):
-        program = compile_source(branchy_kernel_source(6))
-        serial = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4
-        ).run()
-        threaded = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4, shard_threads=True
-        ).run()
-        assert threaded.classifications == serial.classifications
-        assert threaded.entry_states == serial.entry_states
-
-    def test_sharding_is_shard_count_invariant_under_widening(self, bench_cache):
-        """On widening-active programs the sharded scheduler computes the
-        exact (unwidened) fixpoint: identical for every shard count, and
-        never less precise than the canonical engine."""
-        program = compile_source(wcet_benchmark_source("adpcm"))
-        canonical = SpeculativeCacheAnalysis(program, cache_config=bench_cache).run()
-        assert canonical.widenings > 0
-        two = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=2
-        ).run()
-        four = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=4
-        ).run()
-        assert two.classifications == four.classifications
-        key = lambda c: (c.block, c.instruction_index, c.speculative, c.scenario_color)
-        canonical_hits = {key(c): c.must_hit for c in canonical.classifications}
-        sharded_hits = {key(c): c.must_hit for c in two.classifications}
-        assert set(canonical_hits) == set(sharded_hits)
-        # exact fixpoint: every canonical must-hit is preserved
-        assert all(
-            sharded_hits[site] for site, hit in canonical_hits.items() if hit
-        )
-
-    def test_sharding_with_no_scenarios_is_harmless(self, bench_cache):
-        program = compile_source(
-            "char a[64];\nint main() {\n  a[0];\n  return 0;\n}\n"
-        )
-        result = SpeculativeCacheAnalysis(
-            program, cache_config=bench_cache, scenario_shards=8
-        ).run()
-        assert result.num_speculative_branches == 0
-        assert result.classifications
-
-    def test_analyze_speculative_knob(self, quantl_program, bench_cache):
-        plain = analyze_speculative(quantl_program, cache_config=bench_cache)
-        sharded = analyze_speculative(
-            quantl_program, cache_config=bench_cache, scenario_shards=3
-        )
-        assert sharded.classifications == plain.classifications
-
-
-# ----------------------------------------------------------------------
-# Request / wire plumbing for the sharding knob
-# ----------------------------------------------------------------------
-class TestShardingPlumbing:
-    SOURCE = "char a[64]; char c[64];\nint main() {\n  if (c[0]) { a[0]; }\n  return 0;\n}\n"
-
-    def test_result_keys_separate_shard_counts(self):
-        plain = AnalysisRequest(source=self.SOURCE)
-        sharded = AnalysisRequest(source=self.SOURCE, scenario_shards=2)
-        assert plain.result_key() != sharded.result_key()
-        # the default keeps its historical key shape (warm stores stay valid)
-        assert plain.result_key() == AnalysisRequest(source=self.SOURCE).result_key()
-
-    def test_wire_roundtrip_and_legacy_default(self):
-        request = AnalysisRequest(source=self.SOURCE, scenario_shards=4)
-        assert request_from_wire(request_to_wire(request)) == request
-        legacy_payload = request_to_wire(AnalysisRequest(source=self.SOURCE))
-        del legacy_payload["scenario_shards"]
-        assert request_from_wire(legacy_payload).scenario_shards == 1
-
-    def test_execute_request_routes_shards(self):
-        plain = execute_request(AnalysisRequest(source=self.SOURCE))
-        sharded = execute_request(
-            AnalysisRequest(source=self.SOURCE, scenario_shards=2)
-        )
-        assert sharded.classifications == plain.classifications
 
 
 # ----------------------------------------------------------------------

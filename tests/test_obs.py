@@ -3,7 +3,7 @@
 The contract under test is observational soundness: metrics, spans and
 provenance stamps may describe an analysis, but they must never change
 one.  The determinism tests run identical requests with tracing on and
-off across every shard backend and compare full wire fingerprints; the
+off and compare full wire fingerprints; the
 exporter tests pin the JSONL invariants (every line parses, spans nest,
 concurrent writers never interleave); the provenance tests replay a
 stamp back into a request and demand the identical verdict.
@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.analysis.result import CacheAnalysisResult
+from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import AnalysisRequest
 from repro.obs import (
@@ -32,6 +33,8 @@ from repro.obs import (
 )
 from repro.obs.tracing import _DisabledSpan
 from repro.service.wire import request_from_wire, result_fingerprint
+from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
 
 SOURCE = """
 char table[4096]; int k;
@@ -186,14 +189,27 @@ class TestTracer:
 # ----------------------------------------------------------------------
 # Determinism: tracing must never perturb results
 # ----------------------------------------------------------------------
+#: Request shapes the on/off differentials run: the plain speculative
+#: analysis, the baseline, scenario pruning, and a non-default merge
+#: strategy with a small set-associative cache.
+DIFFERENTIAL_REQUESTS = {
+    "speculative": lambda: AnalysisRequest.speculative(SOURCE),
+    "baseline": lambda: AnalysisRequest.baseline(SOURCE),
+    "pruned": lambda: AnalysisRequest.speculative(SOURCE, prune_scenarios=True),
+    "merge-at-rollback": lambda: AnalysisRequest.speculative(
+        SOURCE,
+        cache_config=CacheConfig(num_lines=4, line_size=64, associativity=2),
+        speculation=SpeculationConfig(merge_strategy=MergeStrategy.MERGE_AT_ROLLBACK),
+    ),
+}
+
+
 class TestTracingDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("shape", sorted(DIFFERENTIAL_REQUESTS))
     def test_identical_results_with_tracing_on_and_off(
-        self, backend, tmp_path, monkeypatch
+        self, shape, tmp_path, monkeypatch
     ):
-        request = AnalysisRequest.speculative(
-            SOURCE, scenario_shards=2, shard_backend=backend
-        )
+        request = DIFFERENTIAL_REQUESTS[shape]()
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         untraced = execute_request(request)
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "trace.jsonl"))
@@ -215,12 +231,12 @@ class TestTracingDeterminism:
         path = tmp_path / "trace.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(path))
         engine = AnalysisEngine()
-        engine.run(AnalysisRequest.speculative(SOURCE, scenario_shards=2))
+        engine.run(AnalysisRequest.speculative(SOURCE))
         monkeypatch.delenv("REPRO_TRACE")
         names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
         for expected in (
             "engine.run", "analyze", "frontend", "parse", "unroll", "lower",
-            "vcfg", "fixpoint", "fixpoint.round", "fixpoint.shard", "classify",
+            "vcfg", "fixpoint", "classify",
         ):
             assert expected in names, f"missing span {expected!r}"
 
@@ -238,7 +254,7 @@ class TestProvenance:
         assert stamp.kind == "speculative"
 
     def test_stamp_replays_to_the_identical_verdict(self):
-        request = AnalysisRequest.speculative(SOURCE, scenario_shards=2)
+        request = AnalysisRequest.speculative(SOURCE)
         result = execute_request(request)
         replayed_request = result.provenance.replay_request()
         assert replayed_request == request
@@ -279,12 +295,10 @@ class TestProvenance:
         result = execute_request(AnalysisRequest.baseline(SOURCE))
         state = result.__dict__.copy()
         state.pop("provenance")
-        state.pop("shard_backend_used")
         old = CacheAnalysisResult.__new__(CacheAnalysisResult)
         old.__setstate__(state)
         revived = pickle.loads(pickle.dumps(old))
         assert revived.provenance is None
-        assert revived.shard_backend_used is None
         # the engine's cache-replay copy path must survive such results
         assert dataclasses.replace(revived, from_cache=True).from_cache
 
@@ -309,7 +323,7 @@ class TestServiceTelemetry:
             yield client
 
     def test_trace_rpc_returns_job_span_tree(self, client):
-        request = AnalysisRequest.speculative(SOURCE, scenario_shards=2)
+        request = AnalysisRequest.speculative(SOURCE)
         client.analyze(request)
         assert client.last_job_id is not None
         spans = client.trace(client.last_job_id)
@@ -327,13 +341,10 @@ class TestServiceTelemetry:
         with pytest.raises(ServiceError, match="unknown job"):
             client.trace("job-999999")
 
-    def test_stats_rpc_exposes_sharding_and_metrics(self, client):
-        client.analyze(
-            AnalysisRequest.speculative(SOURCE, scenario_shards=2)
-        )
+    def test_stats_rpc_exposes_scheduler_and_metrics(self, client):
+        client.analyze(AnalysisRequest.speculative(SOURCE))
         stats = client.stats()
-        assert stats["scheduler"]["sharded_jobs"] >= 1
-        assert "fanout_dispatches" in stats["scheduler"]
+        assert stats["scheduler"]["dispatched_batches"] >= 1
         registry = stats["metrics"]
         assert registry["fixpoint.pops"]["value"] > 0
         json.dumps(stats)  # the whole payload is JSON-clean
@@ -377,9 +388,9 @@ class TestProgressPrimitives:
 
         collector = CollectingReporter()
         with reporting(collector):
-            publish_progress("fixpoint.round", round=3)
+            publish_progress("fixpoint.pops", pops=3)
         assert collector.events == [
-            {"phase": "fixpoint.round", "round": 3, "pid": __import__("os").getpid()}
+            {"phase": "fixpoint.pops", "pops": 3, "pid": __import__("os").getpid()}
         ]
         drained = collector.drain()
         assert len(drained) == 1 and collector.events == []
@@ -395,11 +406,11 @@ class TestProgressPrimitives:
     def test_republish_reemits_relayed_events(self):
         from repro.obs import CollectingReporter, reporting, republish
 
-        relayed = [{"phase": "fixpoint.shard", "shard": 1, "pid": 99999}]
+        relayed = [{"phase": "worker.step", "step": 1, "pid": 99999}]
         sink = CollectingReporter()
         with reporting(sink):
             republish(relayed)
-        assert sink.events == [{"phase": "fixpoint.shard", "shard": 1, "pid": 99999}]
+        assert sink.events == [{"phase": "worker.step", "step": 1, "pid": 99999}]
         republish(relayed)  # without a reporter: a silent no-op
 
     def test_event_log_stamps_and_orders(self):

@@ -6,20 +6,19 @@ timestamps and sequence numbers), the per-priority queue-depth gauges
 and latency histograms, the slow-job log, the streaming ``watch`` RPC
 and its heartbeats, the ``events``/``top``/``metrics`` RPCs, Prometheus
 text exposition, the progress-reporting differential (progress on/off
-must be bit-identical across every shard backend), and the client's
-bounded connect retry.
+must be bit-identical), and the client's bounded connect retry.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 import time
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import AnalysisRequest
 from repro.obs import CollectingReporter, render_prometheus, reporting
@@ -27,13 +26,15 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import JobScheduler, JobState
 from repro.service.server import ReproServer
 from repro.service.wire import result_fingerprint
+from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
 
 SOURCE = "char a[64]; int p; int main() { if (p > 0) { a[0]; } a[0]; return 0; }"
 BROKEN_SOURCE = "int main( { nope"
 
-#: Two secret-dependent branches -> multiple speculation scenarios, so a
-#: sharded run exercises round/shard progress events.
-SHARDY_SOURCE = """
+#: Two branches -> multiple speculation scenarios, so an analysis
+#: publishes progress from a fixpoint with real slot traffic.
+BRANCHY_SOURCE = """
 char table[4096]; int k;
 int main() {
   int x = 0;
@@ -56,7 +57,7 @@ def distinct_request(i: int) -> AnalysisRequest:
 class TestLifecycleEvents:
     def test_full_lifecycle_sequence(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
-            job = sched.submit(AnalysisRequest.speculative(SHARDY_SOURCE))
+            job = sched.submit(AnalysisRequest.speculative(BRANCHY_SOURCE))
             job.result(timeout=60)
         events = job.events.snapshot()
         names = [event["event"] for event in events]
@@ -78,13 +79,12 @@ class TestLifecycleEvents:
     def test_analysis_publishes_progress_into_the_job_log(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
             job = sched.submit(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
+                AnalysisRequest.speculative(BRANCHY_SOURCE)
             )
             job.result(timeout=60)
         progress = [e for e in job.events.snapshot() if e["event"] == "progress"]
         phases = {e["phase"] for e in progress}
         assert "fixpoint" in phases and "classify" in phases
-        assert "fixpoint.round" in phases, "sharded solves must report rounds"
 
     def test_coalesced_job_logs_only_its_own_enqueue(self):
         sched = JobScheduler(AnalysisEngine(), max_workers=1, autostart=False)
@@ -119,7 +119,7 @@ class TestLifecycleEvents:
     def test_status_reports_current_phase(self):
         with JobScheduler(AnalysisEngine(), max_workers=1) as sched:
             job = sched.submit(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
+                AnalysisRequest.speculative(BRANCHY_SOURCE)
             )
             job.result(timeout=60)
         # The last reported phase survives on the job and in its status.
@@ -191,12 +191,24 @@ class TestLifecycleEvents:
 # ----------------------------------------------------------------------
 # Progress must never perturb results (the observational contract)
 # ----------------------------------------------------------------------
+#: Request shapes the progress differential runs: the plain speculative
+#: analysis, scenario pruning, and a non-default merge strategy with a
+#: small set-associative cache (all publish fixpoint progress).
+PROGRESS_REQUESTS = {
+    "speculative": lambda: AnalysisRequest.speculative(BRANCHY_SOURCE),
+    "pruned": lambda: AnalysisRequest.speculative(BRANCHY_SOURCE, prune_scenarios=True),
+    "merge-after-branch": lambda: AnalysisRequest.speculative(
+        BRANCHY_SOURCE,
+        cache_config=CacheConfig(num_lines=4, line_size=64, associativity=2),
+        speculation=SpeculationConfig(merge_strategy=MergeStrategy.MERGE_AFTER_BRANCH),
+    ),
+}
+
+
 class TestProgressDifferential:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_identical_results_with_progress_on_and_off(self, backend):
-        request = AnalysisRequest.speculative(
-            SHARDY_SOURCE, scenario_shards=2, shard_backend=backend
-        )
+    @pytest.mark.parametrize("shape", sorted(PROGRESS_REQUESTS))
+    def test_identical_results_with_progress_on_and_off(self, shape):
+        request = PROGRESS_REQUESTS[shape]()
         silent = execute_request(request)
         collector = CollectingReporter()
         with reporting(collector):
@@ -207,22 +219,6 @@ class TestProgressDifferential:
         assert reported.classifications == silent.classifications
         phases = {event["phase"] for event in collector.events}
         assert "fixpoint" in phases and "classify" in phases
-
-    def test_processes_backend_relays_worker_progress(self):
-        request = AnalysisRequest.speculative(
-            SHARDY_SOURCE, scenario_shards=2, shard_backend="processes"
-        )
-        collector = CollectingReporter()
-        with reporting(collector):
-            execute_request(request)
-        shard_events = [
-            e for e in collector.events if e["phase"] == "fixpoint.shard"
-        ]
-        assert shard_events, "workers must relay per-shard progress"
-        worker_pids = {e["pid"] for e in shard_events}
-        assert worker_pids and os.getpid() not in worker_pids, (
-            "relayed shard events must carry the worker's pid"
-        )
 
     def test_publish_without_reporter_is_a_noop(self):
         from repro.obs import current_reporter, publish_progress
@@ -250,7 +246,7 @@ def client(server):
 class TestWatchRPC:
     def test_watch_streams_the_full_lifecycle(self, client):
         job_id = client.submit(
-            AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
+            AnalysisRequest.speculative(BRANCHY_SOURCE)
         )
         seen: list[dict] = []
         status = client.watch(job_id, on_event=seen.append, timeout=60)
@@ -332,7 +328,7 @@ class TestEventsTopMetricsRPCs:
     def test_events_rpc_concatenates_a_coalesced_jobs_primary(self, server):
         # Hold the queue with a first job so the duplicate coalesces.
         with ServiceClient(port=server.port) as cli:
-            request = AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2)
+            request = AnalysisRequest.speculative(BRANCHY_SOURCE)
             primary_id = cli.submit(request)
             follower_id = cli.submit(request)
             cli.result(follower_id, timeout=60)
@@ -379,7 +375,7 @@ _SAMPLE = re.compile(
 class TestPrometheusExposition:
     def test_every_line_is_valid_exposition(self, client):
         client.analyze(
-            AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2),
+            AnalysisRequest.speculative(BRANCHY_SOURCE),
             timeout=60,
         )
         text = render_prometheus(client.metrics())
@@ -418,32 +414,6 @@ class TestPrometheusExposition:
         out = capsys.readouterr().out
         assert "# TYPE repro_scheduler_e2e_seconds histogram" in out
         assert "repro_fixpoint_pops_total" in out
-
-
-# ----------------------------------------------------------------------
-# Daemon trace relay under the process backend (worker spans)
-# ----------------------------------------------------------------------
-class TestTraceRelayOverProcesses:
-    def test_trace_rpc_includes_worker_shard_spans(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "processes")
-        with ServiceClient(port=server.port) as cli:
-            cli.analyze(
-                AnalysisRequest.speculative(SHARDY_SOURCE, scenario_shards=2),
-                timeout=120,
-            )
-            spans = cli.trace(cli.last_job_id)
-        by_name: dict[str, list[dict]] = {}
-        for span in spans:
-            by_name.setdefault(span["name"], []).append(span)
-        assert "scheduler.batch" in by_name and "fixpoint" in by_name
-        shard_spans = by_name.get("fixpoint.shard", [])
-        assert shard_spans, "worker shard spans must be relayed to the master"
-        worker_pids = {span["pid"] for span in shard_spans}
-        assert worker_pids and os.getpid() not in worker_pids, (
-            "relayed spans must carry the worker process's pid"
-        )
-        # Grafted into one trace: every span shares the dispatch trace id.
-        assert len({span["trace_id"] for span in spans}) == 1
 
 
 # ----------------------------------------------------------------------
