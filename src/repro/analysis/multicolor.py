@@ -85,6 +85,7 @@ from repro.speculation.vcfg import (
     VirtualCFG,
     build_vcfg,
     build_vcfg_incremental,
+    prune_vcfg,
 )
 
 #: A speculative-state slot key; see the module docstring.
@@ -97,6 +98,16 @@ WIDENING_DELAY = 3
 #: computation always terminates, but a bug in a transfer function should
 #: surface as an error rather than an endless loop).
 MAX_VISITS = 5_000_000
+
+
+def _access_free(scenario: SpeculationScenario, table: AccessTable) -> bool:
+    """True when neither of ``scenario``'s windows (``bm``, ``bh``)
+    contains an access site: the scenario pruning may drop."""
+    return not any(
+        table.sites_up_to(block, limit)
+        for window in (scenario.window_miss, scenario.window_hit)
+        for block, limit in window.allowed.items()
+    )
 
 
 @dataclass
@@ -120,10 +131,10 @@ class SpeculativeFixpoint:
 
 @dataclass
 class WarmStartData:
-    """A retained prior fixpoint, decoded and ready to seed a warm solve.
+    """A retained prior fixpoint, ready to seed a warm solve.
 
-    Built by :mod:`repro.engine.incremental` from an
-    :class:`~repro.engine.incremental.AnalysisSnapshot`; everything here is
+    Held by an :class:`~repro.engine.incremental.AnalysisSnapshot`, which
+    :mod:`repro.engine.incremental` builds from a finished run; everything here is
     expressed in the *old* program's terms (old scenario colors, old block
     set) — :meth:`SpeculativeCacheAnalysis._plan_warm` maps it onto the
     edited program.
@@ -165,11 +176,6 @@ class _WarmPlan:
     #: unchanged *and* whose branch block is outside the affected region —
     #: only these have their slots and chooser decisions seeded.
     stable: dict[int, SpeculationScenario]
-    #: Branch blocks that must re-run injection even though their own
-    #: normal state is untouched: they carry scenarios being rebuilt from
-    #: scratch (unstable, or demoted from stable), whose slots can only be
-    #: repopulated by a fresh injection.
-    force_branches: set[str]
 
 
 class SpeculativeCacheAnalysis:
@@ -213,8 +219,7 @@ class SpeculativeCacheAnalysis:
         self.chooser = DepthChooser(self.speculation, self.layout)
         self.secret_symbols = set(program.info.secret_symbols)
         # ------------------------------------------------------------------
-        # Taint-driven scenario pruning.  The policy (see
-        # repro.analysis.taint.classify_scenarios) only drops colors whose
+        # Scenario pruning.  The policy only drops colors whose
         # speculative windows contain no access site at all: for those the
         # window transfer is the identity, every rollback/conversion
         # delivery joins a value already below its target, and the window
@@ -227,21 +232,13 @@ class SpeculativeCacheAnalysis:
         # ------------------------------------------------------------------
         self.prune_scenarios = bool(prune_scenarios)
         self.pruned_scenarios: list[SpeculationScenario] = []
-        self.taint_free_colors: frozenset[int] = frozenset()
         self._all_scenarios: list[SpeculationScenario] | None = None
-        if self.prune_scenarios and self.vcfg.scenarios:
-            # Imported lazily: the taint pass lives beside the analyses
-            # and is only paid for when the knob is on.
-            from repro.analysis.taint import TaintAnalysis, classify_scenarios
-            from repro.speculation.vcfg import prune_vcfg
-
-            taint = TaintAnalysis(
-                self.cfg, self.layout, program.info.secret_symbols
-            ).solve()
-            prunable, taint_free, _ = classify_scenarios(
-                self.vcfg, self.table, taint
-            )
-            self.taint_free_colors = taint_free
+        if self.prune_scenarios:
+            prunable = {
+                scenario.color
+                for scenario in self.vcfg.scenarios
+                if _access_free(scenario, self.table)
+            }
             if prunable:
                 self._all_scenarios = list(self.vcfg.scenarios)
                 self.pruned_scenarios = prune_vcfg(
@@ -359,10 +356,6 @@ class SpeculativeCacheAnalysis:
         if self.prune_scenarios:
             registry.counter("prune.scenarios_pruned").inc(len(self.pruned_scenarios))
             registry.counter("prune.scenarios_retained").inc(len(self.vcfg.scenarios))
-            if self.taint_free_colors:
-                registry.counter("prune.scenarios_taint_free").inc(
-                    len(self.taint_free_colors)
-                )
         # When colors were pruned, the structural counters still describe
         # the full scenario set (pruned windows contribute their bm edges
         # like any never-shortened scenario), keeping reports comparable
@@ -571,19 +564,6 @@ class SpeculativeCacheAnalysis:
             if new_scenario.branch_block in affected:
                 del stable[old_color]
 
-        # Rebuilt scenarios whose branch block sits *outside* the region
-        # still need a fresh injection — nothing else repopulates their
-        # slots (processing the branch re-delivers its unchanged normal
-        # state too, a join no-op everywhere it is already seeded).
-        stable_colors = {scenario.color for scenario in stable.values()}
-        force_branches = {
-            scenario.branch_block
-            for scenario in self.vcfg.scenarios
-            if scenario.color not in stable_colors
-            and scenario.branch_block in reachable
-            and scenario.branch_block not in affected
-        }
-
         self.warm_info = {
             "used": True,
             "invalidated_blocks": len(affected),
@@ -598,9 +578,7 @@ class SpeculativeCacheAnalysis:
             self.warm_info["windows_reused"] = self._vcfg_reuse.get(
                 "windows_reused", 0
             )
-        return _WarmPlan(
-            warm=warm, affected=affected, stable=stable, force_branches=force_branches
-        )
+        return _WarmPlan(warm=warm, affected=affected, stable=stable)
 
     def _seed_warm(
         self,
@@ -658,8 +636,13 @@ class SpeculativeCacheAnalysis:
         # targets are no-ops); window slots additionally re-send when
         # their rollback target is affected, because rollback is the one
         # delivery that does not follow a successor edge.
-        for name in plan.force_branches:
-            dirty[name].add(None)
+        #
+        # This rule also re-runs injection for every rebuilt scenario,
+        # whose slots only a fresh injection can repopulate: an unstable
+        # scenario's correct target, a successor of its branch, seeded
+        # the region, and a demoted scenario's branch is itself affected.
+        # So the branch of every rebuilt scenario is affected or has an
+        # affected successor.
         for name in reachable:
             if name in affected:
                 continue

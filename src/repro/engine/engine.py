@@ -26,7 +26,6 @@ from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.incremental import (
     DEFAULT_SNAPSHOT_CACHE_SIZE,
     IncrementalStats,
-    SnapshotStore,
     execute_retaining,
     snapshot_compatible,
     snapshot_eligible,
@@ -48,12 +47,12 @@ DEFAULT_RESULT_CACHE_SIZE = 1024
 #: constructed without an explicit ``incremental=`` argument.
 INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
-#: Environment knob forcing taint-driven scenario pruning on every
-#: speculative run whose request does not set ``prune_scenarios`` itself.
-#: Verdicts and classifications are knob-invariant (see
-#: :mod:`repro.analysis.taint`), so flipping it process-wide is safe; it
-#: exists so the whole test suite / a deployment can run pruned without
-#: touching request construction.
+#: Environment knob forcing scenario pruning on every speculative run
+#: whose request does not set ``prune_scenarios`` itself.  Verdicts and
+#: classifications are knob-invariant (see
+#: :class:`repro.analysis.multicolor.SpeculativeCacheAnalysis`), so
+#: flipping it process-wide is safe; it exists so the whole test suite /
+#: a deployment can run pruned without touching request construction.
 PRUNE_SCENARIOS_ENV = "REPRO_PRUNE_SCENARIOS"
 
 
@@ -174,7 +173,8 @@ class AnalysisEngine:
         #: None defers to the REPRO_INCREMENTAL environment variable at
         #: each run (so a long-lived default engine follows the knob).
         self._incremental = incremental
-        self._snapshots = SnapshotStore(maxsize=snapshot_cache_size)
+        #: Retained snapshots keyed by the producing request's result_key().
+        self._snapshots = LRUCache(maxsize=snapshot_cache_size)
         self._warm_hits = 0
         self._cold_fallbacks = 0
         self._snapshots_stored = 0
@@ -299,15 +299,14 @@ class AnalysisEngine:
         warm = self._note_warm_outcome(
             request, analysis, warm_start is not None, fallback
         )
-        # compact=False: in the interactive edit loop the very next
-        # request warm-starts from this snapshot, so a codec encode here
-        # costs more per edit than the warm solve saves on small kernels.
-        # The LRU store bounds how many live state graphs stay pinned.
-        self._snapshots.put(
-            snapshot_from_analysis(request, program, analysis, result, compact=False)
-        )
-        self._snapshots_stored += 1
+        self._retain(request, program, analysis, result)
         return result, warm
+
+    def _retain(self, request, program, analysis, result) -> None:
+        """Keep a snapshot of a finished speculative run."""
+        snapshot = snapshot_from_analysis(request, program, analysis, result)
+        self._snapshots.put(snapshot.result_key, snapshot)
+        self._snapshots_stored += 1
 
     def run_ephemeral(
         self,
@@ -353,16 +352,7 @@ class AnalysisEngine:
                 request, analysis, warm_start is not None, fallback
             )
             if retain:
-                # compact=False: chaining snapshots skip the codec pass and
-                # carry their live states pre-decoded — the next candidate
-                # reads them back within milliseconds, and an encode per
-                # scored candidate would cost more than chaining saves.
-                self._snapshots.put(
-                    snapshot_from_analysis(
-                        request, program, analysis, result, compact=False
-                    )
-                )
-                self._snapshots_stored += 1
+                self._retain(request, program, analysis, result)
             run_span.set(warm=warm)
         return result
 
@@ -390,10 +380,7 @@ class AnalysisEngine:
             program = self.compile(request)
             result, analysis = execute_retaining(request, program)
             self._store_result(request, result)
-            self._snapshots.put(
-                snapshot_from_analysis(request, program, analysis, result)
-            )
-            self._snapshots_stored += 1
+            self._retain(request, program, analysis, result)
         return _copy_result(result)
 
     def seed_program(self, request: AnalysisRequest, program: CompiledProgram) -> None:
@@ -433,7 +420,7 @@ class AnalysisEngine:
                 snapshots_stored=self._snapshots_stored,
                 seeded_slots=self._seeded_slots,
                 invalidated_blocks=self._invalidated_blocks,
-                snapshots=self._snapshots.stats,
+                snapshots=self._snapshots.stats.snapshot(),
                 retained=len(self._snapshots),
             ),
         )

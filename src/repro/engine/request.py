@@ -44,9 +44,9 @@ class AnalysisRequest:
     unroll: bool = True
     inline: bool = True
     max_unroll_iterations: int = 4096
-    #: Run the secret-taint pre-analysis and drop speculation scenarios
-    #: whose windows are provably access-free (see
-    #: :mod:`repro.analysis.taint`).  Classifications and verdicts are
+    #: Drop speculation scenarios whose windows contain no access site
+    #: (see :class:`repro.analysis.multicolor.SpeculativeCacheAnalysis`).
+    #: Classifications and verdicts are
     #: bit-identical to the unpruned run, but reported iteration counts
     #: are not — so the knob participates in the result key (only when
     #: on, keeping historical keys warm).

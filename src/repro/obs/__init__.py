@@ -48,14 +48,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.progress import (
     CallbackReporter,
-    CollectingReporter,
     EventLog,
     LogReporter,
     ProgressReporter,
     current_reporter,
     publish_progress,
     reporting,
-    republish,
 )
 from repro.obs.provenance import ProvenanceStamp, stamp_for_request
 from repro.obs.tracing import (
@@ -69,7 +67,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     "CallbackReporter",
-    "CollectingReporter",
     "Counter",
     "EventLog",
     "Gauge",
@@ -88,7 +85,6 @@ __all__ = [
     "publish_progress",
     "render_prometheus",
     "reporting",
-    "republish",
     "span",
     "stamp_for_request",
     "tracer",

@@ -85,7 +85,7 @@ class Histogram:
     ``edges`` are the *upper* bounds of the finite buckets; observations
     above the last edge land in the implicit overflow bucket.  Edges are
     fixed at creation so concurrent observers never disagree about the
-    bucket layout, and snapshots are mergeable across processes.
+    bucket layout.
     """
 
     __slots__ = ("name", "edges", "_buckets", "_count", "_sum", "_min", "_max", "_lock")
@@ -178,34 +178,6 @@ class MetricsRegistry:
         with self._lock:
             instruments = list(self._instruments.items())
         return {name: instrument.to_dict() for name, instrument in sorted(instruments)}
-
-    def absorb(self, snapshot: Mapping[str, Mapping]) -> None:
-        """Merge a foreign :meth:`snapshot` (e.g. relayed from a worker
-        process) into this registry: counters add, gauges overwrite,
-        histograms merge bucket-wise (edges must match)."""
-        for name, payload in snapshot.items():
-            kind = payload.get("type")
-            if kind == "counter":
-                self.counter(name).inc(int(payload["value"]))
-            elif kind == "gauge":
-                self.gauge(name).set(float(payload["value"]))
-            elif kind == "histogram":
-                histogram = self.histogram(name, tuple(payload["edges"]))
-                if list(histogram.edges) != [float(e) for e in payload["edges"]]:
-                    continue  # incompatible layout; drop rather than corrupt
-                with histogram._lock:
-                    for index, count in enumerate(payload["buckets"]):
-                        histogram._buckets[index] += int(count)
-                    histogram._count += int(payload["count"])
-                    histogram._sum += float(payload["sum"])
-                    for value in (payload.get("min"), payload.get("max")):
-                        if value is None:
-                            continue
-                        value = float(value)
-                        if histogram._min is None or value < histogram._min:
-                            histogram._min = value
-                        if histogram._max is None or value > histogram._max:
-                            histogram._max = value
 
     def clear(self) -> None:
         with self._lock:

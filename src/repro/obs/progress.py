@@ -21,20 +21,18 @@ Three reporter shapes cover the plumbing:
 * :class:`EventLog` — a bounded, sequence-numbered, watchable log with
   blocking reads.  The scheduler gives every job one; the ``watch`` RPC
   tails it.
-* :class:`CollectingReporter` — accumulates events in memory, for a
-  caller that inspects them afterwards or relays them from a worker
-  process through its reply channel (mirroring span collect mode).
+* :class:`CallbackReporter` — adapts a plain callback, for a caller
+  that inspects events in memory.
 * A multiplexer is trivial to build from :class:`ProgressReporter`
   (see ``_BatchProgress`` in :mod:`repro.service.scheduler`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator
 from contextlib import contextmanager
 
 #: Sparse-kernel pop throttle: publish a ``fixpoint.pops`` event at most
@@ -78,30 +76,6 @@ class _NullReporter(ProgressReporter):
 
 
 NULL_REPORTER = _NullReporter()
-
-
-class CollectingReporter(ProgressReporter):
-    """Accumulates events for relay through a reply channel.
-
-    A worker process can install one around its work and ship
-    :attr:`events` back with its reply; the receiver re-emits them into
-    its own current reporter via :func:`republish`.  Events carry the
-    publishing process's pid so relayed progress is attributable.
-    """
-
-    def __init__(self):
-        self.events: list[dict] = []
-        self._pid = os.getpid()
-
-    def publish(self, phase: str, **fields) -> None:
-        event = dict(fields)
-        event["phase"] = phase
-        event.setdefault("pid", self._pid)
-        self.events.append(event)
-
-    def drain(self) -> list[dict]:
-        events, self.events = self.events, []
-        return events
 
 
 class CallbackReporter(ProgressReporter):
@@ -215,17 +189,4 @@ def publish_progress(phase: str, **fields) -> None:
     """Publish an event to this thread's reporter (no-op when none)."""
     reporter = getattr(_state, "reporter", None)
     if reporter is not None:
-        reporter.publish(phase, **fields)
-
-
-def republish(events: Iterable[Mapping]) -> None:
-    """Re-emit relayed events (e.g. from a worker process) into this
-    thread's reporter.  Timestamps are re-stamped by the receiving sink;
-    the worker's identity survives in the ``pid`` field."""
-    reporter = getattr(_state, "reporter", None)
-    if reporter is None:
-        return
-    for event in events:
-        fields = dict(event)
-        phase = fields.pop("phase", "worker")
         reporter.publish(phase, **fields)

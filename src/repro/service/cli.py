@@ -922,8 +922,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--depth-miss", type=int, default=None,
                         help="speculation depth bound bm")
     submit.add_argument("--prune-scenarios", action="store_true",
-                        help="taint-prune speculation scenarios with provably "
-                             "access-free windows before solving (identical "
+                        help="prune speculation scenarios with access-free "
+                             "windows before solving (identical "
                              "verdicts and classifications; fewer slots, "
                              "fewer iterations)")
     submit.add_argument("--depth-hit", type=int, default=None,

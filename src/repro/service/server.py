@@ -389,7 +389,7 @@ class ReproServer:
             "scheduler": vars(self.scheduler.stats),
             "incremental": engine_stats.incremental.to_wire(),
             "slow_jobs": self.scheduler.slow_jobs(),
-            # Process-wide registry: pool.*, store.*, fixpoint.*, codec.*
+            # Process-wide registry: pool.*, store.*, fixpoint.*
             # counters from every subsystem that ran in this daemon.
             "metrics": metrics().snapshot(),
         }

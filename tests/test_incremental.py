@@ -9,8 +9,8 @@ fields (iterations, analysis_time) may differ.
 
 Also pinned here: the ``warm_from=`` lineage handle never perturbs
 request identity or caching; every incompatibility degrades to a
-counted cold fallback rather than an error; snapshot codec round-trips;
-ephemeral (IR-patched) runs never pollute the result tiers; and the
+counted cold fallback rather than an error; snapshots hold the live
+fixpoint states; ephemeral (IR-patched) runs never pollute the result tiers; and the
 IR-level fence patching used by the incremental mitigation loop is
 verdict-equivalent to source-level patching.
 """
@@ -25,8 +25,6 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.incremental import (
-    _flatten_slots,
-    _unflatten_slots,
     execute_retaining,
     snapshot_compatible,
     snapshot_eligible,
@@ -86,6 +84,12 @@ EDITS = {
     "branch_delete": BASE_SOURCE.replace(
         "    if (k > 0) {\n        x = x + table[128];\n    }\n", ""
     ),
+    # The tail block, four blocks into the first branch's windows, grows:
+    # that branch stays outside the affected region, but its scenarios
+    # change window geometry and are rebuilt from a fresh injection.
+    "window_interior_add": BASE_SOURCE.replace(
+        "x = x + table[key];", "x = x + table[320];\n    x = x + table[key];"
+    ),
 }
 
 GEOMETRIES = [
@@ -135,6 +139,29 @@ class TestWarmColdIdentity:
             f"edit {edit!r} fell back cold"
         )
         assert_semantically_identical(warm, cold)
+
+    def test_rebuilt_scenario_of_unaffected_branch(self):
+        """A rebuilt scenario whose branch block is outside the affected
+        region is re-injected by the dirty frontier alone."""
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        base_program = compile_source(BASE_SOURCE)
+        result, analysis = execute_retaining(base, base_program)
+        snapshot = snapshot_from_analysis(base, base_program, analysis, result)
+        edited = _request(EDITS["window_interior_add"], GEOMETRIES[0])
+        warm, analysis = execute_retaining(
+            edited,
+            compile_source(edited.source),
+            warm_start=warm_start_from_snapshot(snapshot),
+        )
+        assert analysis.warm_info["used"]
+        assert analysis.warm_info["rebuilt_scenarios"] >= 1
+        plan = analysis._warm_plan
+        stable = {scenario.color for scenario in plan.stable.values()}
+        assert any(
+            scenario.color not in stable and scenario.branch_block not in plan.affected
+            for scenario in analysis.vcfg.scenarios
+        )
+        assert_semantically_identical(warm, execute_request(edited))
 
     @pytest.mark.parametrize("strategy", list(MergeStrategy))
     def test_merge_strategies(self, strategy):
@@ -300,48 +327,109 @@ class TestColdFallbacks:
 
 
 # ----------------------------------------------------------------------
-# Snapshot codec
+# Snapshots hold the producing run's live states
 # ----------------------------------------------------------------------
-class TestSnapshotCodec:
-    def _retained(self, compact: bool):
+class TestLiveSnapshot:
+    def test_snapshot_holds_live_states(self):
         program = compile_source(BASE_SOURCE)
         request = _request(BASE_SOURCE, GEOMETRIES[0])
         result, analysis = execute_retaining(request, program)
-        snapshot = snapshot_from_analysis(
-            request, program, analysis, result, compact=compact
-        )
-        return snapshot, analysis.last_fixpoint
+        fixpoint = analysis.last_fixpoint
+        assert fixpoint.speculative, "test program produced no slots"
+        snapshot = snapshot_from_analysis(request, program, analysis, result)
+        warm = warm_start_from_snapshot(snapshot)
+        assert warm is snapshot.warm
+        assert warm.normal is fixpoint.normal
+        assert warm.slots is fixpoint.speculative
+        assert warm.classifications == tuple(result.classifications)
 
     @staticmethod
-    def _nonempty(slots):
-        # The flat encoding has no way to say "this block has zero slots",
-        # so empty per-block dicts vanish in the round trip; a missing
-        # block and an empty one mean the same thing to the warm planner.
-        return {name: per for name, per in slots.items() if per}
+    def _frozen(warm):
+        """A detached copy of a seed's state maps, for later comparison."""
+        return pickle.loads(pickle.dumps((warm.normal, warm.slots)))
 
-    def test_blob_round_trip(self):
-        snapshot, fixpoint = self._retained(compact=True)
-        assert snapshot.nbytes > 0
-        warm = warm_start_from_snapshot(snapshot)
-        assert warm.normal == fixpoint.normal
-        assert warm.slots == self._nonempty(fixpoint.speculative)
-        # The decode is memoised on the snapshot (same object back).
-        assert warm_start_from_snapshot(snapshot) is warm
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["paper-lru", "fifo-2way"])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_warm_runs_leave_the_seed_untouched(self, edit, geometry):
+        """Warm solves share the snapshot's maps and states; they must
+        read them only, so a second warm start sees the same seed."""
+        engine = AnalysisEngine(incremental=True)
+        base = _request(BASE_SOURCE, geometry)
+        engine.ensure_snapshot(base)
+        snapshot = engine._snapshots.get(base.result_key())
+        normal, slots = snapshot.warm.normal, snapshot.warm.slots
+        before = self._frozen(snapshot.warm)
+        edited = _request(EDITS[edit], geometry, warm_from=base.result_key())
+        first, reason = engine._resolve_warm_start(edited, engine.compile(edited))
+        assert reason is None and first is snapshot.warm
+        warm = engine.run(edited)
+        assert engine.stats.incremental.warm_hits == 1
+        assert snapshot.warm.normal is normal and snapshot.warm.slots is slots
+        assert self._frozen(snapshot.warm) == before
+        again, _ = execute_retaining(
+            edited,
+            compile_source(edited.source),
+            warm_start=warm_start_from_snapshot(snapshot),
+        )
+        assert_semantically_identical(again, warm)
 
-    def test_flatten_unflatten_inverse(self):
-        _, fixpoint = self._retained(compact=True)
-        assert fixpoint.speculative, "test program produced no slots"
-        flat = _flatten_slots(fixpoint.speculative)
-        assert _unflatten_slots(flat) == self._nonempty(fixpoint.speculative)
+    def test_ensure_snapshot_retains_the_fixpoint(self):
+        """The mitigation seed holds the states a fresh solve computes,
+        and a repeated call reuses it without solving again."""
+        engine = AnalysisEngine(incremental=True)
+        request = _request(BASE_SOURCE, GEOMETRIES[1])
+        engine.ensure_snapshot(request)
+        snapshot = engine._snapshots.get(request.result_key())
+        _, analysis = execute_retaining(request, compile_source(BASE_SOURCE))
+        assert snapshot.warm.normal == analysis.last_fixpoint.normal
+        assert snapshot.warm.slots == analysis.last_fixpoint.speculative
+        requests = engine.stats.requests
+        repeated = engine.ensure_snapshot(request)
+        assert repeated.from_cache
+        assert engine.stats.requests == requests
+        assert engine._snapshots.get(request.result_key()) is snapshot
 
-    def test_non_compact_skips_encode(self):
-        """Chaining snapshots carry their states pre-decoded with empty
-        blobs; the decoded view must equal the compact round-trip's."""
-        snapshot, fixpoint = self._retained(compact=False)
-        assert snapshot.nbytes == 0
-        warm = warm_start_from_snapshot(snapshot)
-        assert warm.normal == fixpoint.normal
-        assert warm.slots == fixpoint.speculative
+    def test_chained_snapshot_owns_its_maps(self):
+        """A snapshot retained from a warm run holds that run's maps, not
+        its seed's, and leaves the seed as it was."""
+        engine = AnalysisEngine(incremental=True)
+        base = _request(BASE_SOURCE, GEOMETRIES[0])
+        engine.ensure_snapshot(base)
+        seed = engine._snapshots.get(base.result_key())
+        before = self._frozen(seed.warm)
+        program = engine.compile(base)
+        points = _first_arm_points(BASE_SOURCE)
+        source = program_to_source(
+            apply_fence_points(parse_program(BASE_SOURCE), points)
+        )
+        patched_request = replace(base, source=source, warm_from=base.result_key())
+        engine.run_ephemeral(
+            patched_request,
+            apply_fence_points_ir(program, points, source),
+            retain=True,
+        )
+        chained = engine._snapshots.get(patched_request.result_key())
+        assert chained is not None and chained is not seed
+        assert chained.warm.normal is not seed.warm.normal
+        assert chained.warm.slots is not seed.warm.slots
+        assert self._frozen(seed.warm) == before
+
+    def test_mitigation_loop_leaves_the_seed_untouched(self):
+        """Every candidate of the loop warm-starts from one seed; after
+        the loop it still holds the unpatched program's fixpoint."""
+        from repro.bench.tables import table7_client_request
+
+        engine = AnalysisEngine(incremental=True)
+        request = table7_client_request("des")
+        report = synthesize_mitigation(request, engine=engine)
+        assert report.incremental and report.leak_sites_before
+        assert engine.stats.incremental.warm_hits >= 1
+        snapshot = engine._snapshots.get(request.result_key())
+        _, analysis = execute_retaining(request, compile_source(request.source))
+        assert self._frozen(snapshot.warm) == (
+            analysis.last_fixpoint.normal,
+            analysis.last_fixpoint.speculative,
+        )
 
 
 # ----------------------------------------------------------------------
