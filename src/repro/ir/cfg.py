@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -32,18 +33,26 @@ def _canonical(value: object) -> object:
             value.index_secret,
             value.element_size,
         )
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        parts: list[object] = [type(value).__name__]
-        for fld in dataclasses.fields(value):
-            if fld.name == "line":
-                continue
-            parts.append(_canonical(getattr(value, fld.name)))
-        return tuple(parts)
+    names = _canonical_fields(type(value))
+    if names is not None:
+        return (
+            type(value).__name__,
+            *[_canonical(getattr(value, name)) for name in names],
+        )
     if isinstance(value, (tuple, list)):
         return tuple(_canonical(item) for item in value)
     if value is None or isinstance(value, (str, int, bool)):
         return value
     return repr(value)
+
+
+@functools.cache
+def _canonical_fields(cls: type) -> tuple[str, ...] | None:
+    """The non-``line`` field names of dataclass ``cls``, or None when
+    ``cls`` is not a dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(fld.name for fld in dataclasses.fields(cls) if fld.name != "line")
 
 
 def block_fingerprint(block: BasicBlock) -> str:

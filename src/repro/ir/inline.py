@@ -5,6 +5,15 @@ as ``quantl``, Figure 10).  To keep the analysis intra-procedural we
 inline every call to a user-defined function into the analysis entry
 point.  Calls to intrinsics (``my_abs`` and friends) remain and are
 treated as opaque pure operations.
+
+The pass never mutates its input CFGs.  The result is a new
+:class:`~repro.ir.cfg.CFG` of new :class:`~repro.ir.basicblock.BasicBlock`
+objects, each with its own instruction *list*; the instructions and
+terminators in those lists are shared with ``cfgs[entry]`` wherever the
+inlining leaves them unchanged.  Callee clones are shallow copies whose
+temp-holding fields are rebound to renamed (frozen) operands.  Sharing is
+sound because no later phase edits an instruction in place: rewriting
+passes build new blocks, as the IR fence patcher does.
 """
 
 from __future__ import annotations
@@ -46,7 +55,20 @@ def inline_calls(
     """Return a copy of ``cfgs[entry]`` with user-function calls inlined."""
     if entry not in cfgs:
         raise LoweringError(f"unknown entry function {entry!r}")
-    result = copy.deepcopy(cfgs[entry])
+    original = cfgs[entry]
+    result = CFG(
+        name=original.name,
+        entry=original.entry,
+        blocks={
+            name: BasicBlock(
+                name=name,
+                instructions=list(block.instructions),
+                terminator=block.terminator,
+            )
+            for name, block in original.blocks.items()
+        },
+        params=list(original.params),
+    )
     expansions = 0
     while True:
         site = _find_call_site(result, cfgs)
@@ -134,14 +156,14 @@ def _inline_one(
 
 
 def _clone_callee(callee: CFG, prefix: str) -> list[BasicBlock]:
-    """Deep-copy the callee's reachable blocks, renaming blocks and temps."""
+    """Clone the callee's reachable blocks, renaming blocks and temps."""
     clones: list[BasicBlock] = []
     for name in callee.reachable_blocks():
         original = callee.block(name)
         clone = BasicBlock(name=f"{prefix}{name}")
         for instruction in original.instructions:
-            clone.append(_rename_instruction(copy.deepcopy(instruction), prefix))
-        clone.terminator = _rename_terminator(copy.deepcopy(original.terminator), prefix)
+            clone.append(_rename_instruction(copy.copy(instruction), prefix))
+        clone.terminator = _rename_terminator(copy.copy(original.terminator), prefix)
         clones.append(clone)
     return clones
 

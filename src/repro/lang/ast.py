@@ -4,6 +4,14 @@ Every node is a plain dataclass carrying an optional source location so
 error messages and analysis reports can refer back to the program text.
 Expressions and statements form two small class hierarchies rooted at
 :class:`Expr` and :class:`Stmt`.
+
+Nodes are mutable dataclasses, but once the parser has built a tree no
+pass edits a node in place.  Passes build new nodes and share every
+subtree they leave unchanged: the loop unroller
+(:mod:`repro.ir.unroll`) returns a tree that shares its input's
+statements and in which all iterations of an unrolled loop are one body
+object.  A tree may thus be a DAG, and a node edited in place would
+change every program and every iteration that shares it.
 """
 
 from __future__ import annotations

@@ -301,7 +301,13 @@ class TypeChecker:
     # ------------------------------------------------------------------
     def _compute_secret_taint(self) -> None:
         """Propagate ``secret`` taint through assignments and parameter
-        passing until a fixed point is reached."""
+        passing.
+
+        One walk over the program collects every flow edge — an assigned
+        name from each name its value reads, a declared name from its
+        initializer, a callee parameter from its argument — and a worklist
+        then closes the declared secrets under those edges.
+        """
         secret: set[str] = set()
         for symbol in self.info.globals_table.local_symbols():
             if symbol.qualifiers.is_secret:
@@ -310,48 +316,50 @@ class TypeChecker:
             for symbol in info.table.local_symbols():
                 if symbol.qualifiers.is_secret:
                     secret.add(symbol.name)
+        self.info.secret_symbols = secret
+        if not secret:
+            return  # nothing to propagate
 
-        changed = True
-        while changed:
-            changed = False
-            for info in self.info.functions.values():
-                for stmt in walk_statements(info.definition.body):
-                    if isinstance(stmt, Assign):
-                        if self._expr_is_tainted(stmt.value, secret):
-                            target_name = _target_name(stmt.target)
-                            if target_name is not None and target_name not in secret:
-                                secret.add(target_name)
-                                changed = True
-                    elif isinstance(stmt, VarDecl) and stmt.init is not None:
-                        if self._expr_is_tainted(stmt.init, secret) and stmt.name not in secret:
-                            secret.add(stmt.name)
-                            changed = True
-                    elif isinstance(stmt, (ExprStatement, Return)):
-                        pass
+        flows: dict[str, set[str]] = {}
+
+        def flow(sources: Expr, target: str | None) -> None:
+            if target is None:
+                return
+            for name in _names_read(sources):
+                flows.setdefault(name, set()).add(target)
+
+        for info in self.info.functions.values():
+            for stmt in walk_statements(info.definition.body):
+                if isinstance(stmt, Assign):
+                    flow(stmt.value, _target_name(stmt.target))
+                elif isinstance(stmt, VarDecl) and stmt.init is not None:
+                    flow(stmt.init, stmt.name)
                 # Parameter taint: a call ``f(e1, .., ek)`` taints f's i-th
                 # parameter when the i-th argument is tainted.
-                for stmt in walk_statements(info.definition.body):
-                    for expr in _statement_expressions(stmt):
-                        for node in walk_expr(expr):
-                            if isinstance(node, Call) and self.program.has_function(node.name):
-                                callee = self.program.function(node.name)
-                                for param, arg in zip(callee.params, node.args):
-                                    if (
-                                        self._expr_is_tainted(arg, secret)
-                                        and param.name not in secret
-                                    ):
-                                        secret.add(param.name)
-                                        changed = True
-        self.info.secret_symbols = secret
+                for expr in _statement_expressions(stmt):
+                    for node in walk_expr(expr):
+                        if isinstance(node, Call) and self.program.has_function(node.name):
+                            callee = self.program.function(node.name)
+                            for param, arg in zip(callee.params, node.args):
+                                flow(arg, param.name)
 
-    @staticmethod
-    def _expr_is_tainted(expr: Expr, secret: set[str]) -> bool:
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier) and node.name in secret:
-                return True
-            if isinstance(node, Index) and node.array in secret:
-                return True
-        return False
+        worklist = list(secret)
+        while worklist:
+            for target in flows.get(worklist.pop(), ()):
+                if target not in secret:
+                    secret.add(target)
+                    worklist.append(target)
+
+
+def _names_read(expr: Expr) -> set[str]:
+    """Names of the scalars and arrays ``expr`` reads."""
+    names: set[str] = set()
+    for node in walk_expr(expr):
+        if isinstance(node, Identifier):
+            names.add(node.name)
+        elif isinstance(node, Index):
+            names.add(node.array)
+    return names
 
 
 def _target_name(target: Expr) -> str | None:

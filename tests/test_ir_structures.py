@@ -1,6 +1,8 @@
 """Unit tests for CFG structure, dominators, loops, unrolling, inlining,
 memory layout, and the IR printer."""
 
+import copy
+
 import pytest
 
 from repro import compile_source
@@ -13,14 +15,17 @@ from repro.ir.dominators import (
     immediate_dominators,
     immediate_postdominator,
 )
-from repro.ir.instructions import CondBranch, Const, Jump, MemoryRef, Return, Temp
+from repro.ir.inline import inline_calls
+from repro.ir.instructions import CallInstr, CondBranch, Const, Jump, MemoryRef, Return, Temp
 from repro.ir.loops import find_natural_loops, infer_trip_count, loop_of_block
 from repro.ir.lowering import lower_program
 from repro.ir.memory import AccessKind, MemoryBlock, MemoryLayout, placeholder_blocks
 from repro.ir.printer import format_cfg, format_instruction, format_memory_summary
 from repro.ir.unroll import unroll_fixed_loops
+from repro.lang.ast import Block
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
+from repro.speculation.simulator import SpeculativeSimulator
 
 
 def build_diamond() -> CFG:
@@ -245,6 +250,66 @@ class TestUnrolling:
         # final value (3) by the unrolling pass.
         assert 192 in refs
 
+    @staticmethod
+    def _counted_loop_source(step: int, trips: int) -> str:
+        """A ``trips``-iteration loop of stride ``step`` whose counter is
+        read, as a return value and an array index, after the loop."""
+        if step > 0:
+            start, op, limit = 0, "<", (trips - 1) * step + 1
+            update = f"i = i + {step}"
+        else:
+            start = -step * trips + 4
+            op, limit = ">", start + (trips - 1) * step - 1
+            update = f"i = i - {-step}"
+        return (
+            "int arr[256]; int main() { reg int i; reg int acc; acc = 0;"
+            f"  for (i = {start}; i {op} {limit}; {update}) {{ acc = acc + arr[i]; }}"
+            "  return i + arr[i]; }"
+        )
+
+    @pytest.mark.parametrize("trips", [1, 2, 5])
+    @pytest.mark.parametrize("step", [1, 3, 32, -2])
+    def test_unrolled_loop_matches_rolled_execution(self, step, trips):
+        source = self._counted_loop_source(step, trips)
+        runs = []
+        for unroll in (False, True):
+            program = compile_source(source, unroll=unroll)
+            assert program.unroll_stats.loops_unrolled == int(unroll)
+            result = SpeculativeSimulator(program).run()
+            blocks = [record.memory_block for record in result.non_speculative_accesses()]
+            runs.append((result.return_value, blocks))
+        rolled, unrolled = runs
+        # The counter leaves the loop at start + trips * step, also after a
+        # single iteration, where no second value shows the stride.
+        assert rolled == unrolled
+
+    def test_input_program_is_not_mutated(self):
+        source = (
+            "char a[1024]; int s; int main() { reg int i; reg int j;"
+            "  for (i = 0; i < 3; i++) {"
+            "    if (s) { for (j = 0; j < 2; j++) { a[i * 128 + j * 64]; } }"
+            "    else { while (s) { for (j = 0; j < 2; j++) { a[j * 64]; } s = s - 1; } }"
+            "  }"
+            "  return 0; }"
+        )
+        program = parse_program(source)
+        before = copy.deepcopy(program)
+        unrolled, stats = unroll_fixed_loops(program)
+        assert stats.loops_unrolled == 3
+        assert program == before
+        assert unrolled != before
+
+    def test_iterations_share_one_unrolled_body(self):
+        source = "char a[256]; int main() { reg int i; for (i = 0; i < 4; i++) { a[i * 64]; } return 0; }"
+        program = parse_program(source)
+        unrolled, _ = unroll_fixed_loops(program)
+        statements = unrolled.functions[0].body.statements
+        bodies = [stmt for stmt in statements if isinstance(stmt, Block)]
+        assert len(bodies) == 4
+        assert all(body is bodies[0] for body in bodies)
+        # Statements the pass does not rewrite are the input's own objects.
+        assert statements[0] is program.functions[0].body.statements[0]
+
 
 class TestInlining:
     def test_call_is_inlined_into_main(self):
@@ -280,6 +345,25 @@ class TestInlining:
         program = compile_source(source)
         program.cfg.validate()
         assert len(program.cfg.blocks) >= 5
+
+    def test_input_cfgs_are_not_mutated(self):
+        source = (
+            "int t[64];"
+            "int g(int y) { if (y) { return t[1]; } return y; }"
+            "int f(int x) { return g(x) + t[0]; }"
+            "int main() { int r; r = f(1); return f(r) + g(2); }"
+        )
+        info = check_program(parse_program(source))
+        cfgs = lower_program(info)
+        before = {name: str(cfg) for name, cfg in cfgs.items()}
+        inlined = inline_calls(cfgs, "main", info)
+        assert {name: str(cfg) for name, cfg in cfgs.items()} == before
+        assert str(inlined) != before["main"]
+        assert not any(
+            isinstance(instruction, CallInstr)
+            for block in inlined.blocks.values()
+            for instruction in block.instructions
+        )
 
     def test_recursion_detected(self):
         source = "int f(int x) { return f(x - 1); } int main() { return f(3); }"

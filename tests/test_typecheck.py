@@ -132,3 +132,32 @@ class TestSecretTaint:
     def test_secret_local(self):
         info = check("int main() { secret int s; return s; }")
         assert info.is_secret("s")
+
+    @pytest.mark.parametrize("length", [1, 2, 6])
+    def test_backward_assignment_chain(self, length):
+        # Each link is assigned before its source is tainted, so a
+        # round-based fixpoint over the statements needs one round per link.
+        names = [f"x{i}" for i in range(length + 1)]
+        links = " ".join(f"{names[i + 1]} = {names[i]} + 1;" for i in reversed(range(length)))
+        info = check(
+            f"secret int x0; int {', '.join(names[1:])}; int clean;"
+            f"int main() {{ {links} clean = 3; return clean; }}"
+        )
+        assert info.secret_symbols == set(names)
+
+    def test_chain_through_call_parameters(self):
+        info = check(
+            "secret int k; int t; int u; int clean;"
+            "int h(int c) { t = c; return 0; }"
+            "int g(int b) { return h(b + 1); }"
+            "int f(int a, int z) { return g(a); }"
+            "int main() { u = t; clean = f(1, 2); return f(k, clean); }"
+        )
+        assert info.secret_symbols == {"k", "a", "b", "c", "t", "u"}
+
+    def test_declaration_initializer_and_indexed_target(self):
+        info = check(
+            "secret int k; int arr[8];"
+            "int main() { int d = k * 2; arr[1] = d; int e = arr[0]; return e; }"
+        )
+        assert info.secret_symbols == {"k", "d", "arr", "e"}
