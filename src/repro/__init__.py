@@ -30,7 +30,7 @@ submit through the engine service layer instead::
 from repro.frontend import CompiledProgram, compile_source
 from repro.engine import AnalysisEngine, AnalysisKind, AnalysisRequest, default_engine
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "AnalysisEngine",

@@ -54,6 +54,13 @@ slot on each visit, is kept as a test-only differential reference
 (``tests/dense_reference.py``): both engines follow the same pop
 schedule, so their states, classifications, iteration and widening
 counts agree bit for bit.
+
+Either way the solver tracks only the scenarios whose windows contain an
+access site (:meth:`SpeculativeCacheAnalysis._solver_scenarios`); the
+rest cannot change a state.  ``self.vcfg`` keeps the full scenario set,
+which the reported counters describe.  The solve over every scenario is
+a second test-only reference (``tests/unpruned_reference.py``) that
+agrees on everything but the pop count.
 """
 
 from __future__ import annotations
@@ -85,7 +92,6 @@ from repro.speculation.vcfg import (
     VirtualCFG,
     build_vcfg,
     build_vcfg_incremental,
-    prune_vcfg,
 )
 
 #: A speculative-state slot key; see the module docstring.
@@ -102,7 +108,7 @@ MAX_VISITS = 5_000_000
 
 def _access_free(scenario: SpeculationScenario, table: AccessTable) -> bool:
     """True when neither of ``scenario``'s windows (``bm``, ``bh``)
-    contains an access site: the scenario pruning may drop."""
+    contains an access site: the solver does not track such a scenario."""
     return not any(
         table.sites_up_to(block, limit)
         for window in (scenario.window_miss, scenario.window_hit)
@@ -145,8 +151,12 @@ class WarmStartData:
     #: Successor lists of the predecessor CFG (the edited CFG cannot
     #: reconstruct where removed/rewritten blocks used to deliver).
     old_successors: dict[str, tuple[str, ...]]
-    #: The predecessor's speculation scenarios (old colors).
+    #: The predecessor's speculation scenarios (old colors), all of them:
+    #: window reuse covers the access-free ones too.
     scenarios: tuple[SpeculationScenario, ...]
+    #: Old colors the predecessor's solver tracked (the rest were
+    #: access-free and have no slots).
+    solved_colors: frozenset[int]
     #: The predecessor fixpoint's normal states per block.
     normal: dict[str, object]
     #: The predecessor fixpoint's speculative slots per block (old colors).
@@ -187,7 +197,6 @@ class SpeculativeCacheAnalysis:
         cache_config: CacheConfig | None = None,
         speculation: SpeculationConfig | None = None,
         warm_start: WarmStartData | None = None,
-        prune_scenarios: bool = False,
     ):
         self.program = program
         self.cfg = program.cfg
@@ -218,32 +227,9 @@ class SpeculativeCacheAnalysis:
         self.table = AccessTable(self.cfg, self.layout)
         self.chooser = DepthChooser(self.speculation, self.layout)
         self.secret_symbols = set(program.info.secret_symbols)
-        # ------------------------------------------------------------------
-        # Scenario pruning.  The policy only drops colors whose
-        # speculative windows contain no access site at all: for those the
-        # window transfer is the identity, every rollback/conversion
-        # delivery joins a value already below its target, and the window
-        # classification walk emits nothing — so verdicts and
-        # classifications are bit-identical to the unpruned run, only the
-        # per-color slot bookkeeping disappears.  The reported structural
-        # counters (speculative branches, virtual edges, depth-bounding
-        # stats) keep describing the *full* scenario set, so pruned and
-        # unpruned reports stay comparable.
-        # ------------------------------------------------------------------
-        self.prune_scenarios = bool(prune_scenarios)
-        self.pruned_scenarios: list[SpeculationScenario] = []
-        self._all_scenarios: list[SpeculationScenario] | None = None
-        if self.prune_scenarios:
-            prunable = {
-                scenario.color
-                for scenario in self.vcfg.scenarios
-                if _access_free(scenario, self.table)
-            }
-            if prunable:
-                self._all_scenarios = list(self.vcfg.scenarios)
-                self.pruned_scenarios = prune_vcfg(
-                    self.vcfg, lambda scenario: scenario.color not in prunable
-                )
+        #: The scenarios the solver tracks (see :meth:`_solver_scenarios`);
+        #: ``self.vcfg`` keeps the full set for the reported counters.
+        self.solved_scenarios = self._solver_scenarios()
         self._use_shadow = self.speculation.use_shadow_state
         #: Dirty-slot re-transfers performed by the sparse scheduler
         #: (telemetry only; published to the metrics registry by run()).
@@ -253,25 +239,57 @@ class SpeculativeCacheAnalysis:
         self.universe = self.table.universe
         self._bottom = new_bottom_state(self.cache_config, self._use_shadow, self.universe)
         # ------------------------------------------------------------------
-        # Precomputed per-block indices (the sparse engine's substrate):
-        # which scenarios inject at a block, O(1) color -> scenario lookup,
-        # and which window/resume slots can ever be live at a block.
-        # These deliberately *snapshot* the vcfg's scenarios rather than
-        # going through VirtualCFG's (mutation-aware) lookups: the solver
-        # needs a stable view for the whole run, independent of anything
-        # external code does to vcfg.scenarios meanwhile.
+        # Precomputed per-block indices over the solved scenarios (the
+        # sparse engine's substrate): which scenarios inject at a block,
+        # O(1) color -> scenario lookup, and which window/resume slots can
+        # ever be live at a block.
         # ------------------------------------------------------------------
         self._scenario_by_color: dict[int, SpeculationScenario] = {
-            scenario.color: scenario for scenario in self.vcfg.scenarios
+            scenario.color: scenario for scenario in self.solved_scenarios
         }
         self._scenarios_by_branch: dict[str, list[SpeculationScenario]] = {}
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             self._scenarios_by_branch.setdefault(scenario.branch_block, []).append(scenario)
         # The slot-placement indices cost an O(#scenarios x window-size)
         # sweep plus a per-scenario CFG walk, and only introspection needs
         # them — built on first possible_slot_colors() call.
         self._window_colors: dict[str, frozenset[int]] | None = None
         self._resume_colors: dict[str, frozenset[int]] | None = None
+
+    def _solver_scenarios(self) -> tuple[SpeculationScenario, ...]:
+        """The scenarios the fixpoint tracks: every scenario whose ``bm``
+        or ``bh`` window contains an access site.
+
+        An access-free window transfers the identity, so each of its
+        rollback and conversion deliveries joins a value already below
+        its target, and classifying it emits nothing.  Dropping such a
+        scenario leaves states, classifications and verdicts unchanged;
+        only the pop count shrinks.  The depth choice of a dropped
+        scenario is still recorded (see :meth:`_choose_untracked`), so
+        the reported counters describe the full scenario set.
+        """
+        return tuple(
+            scenario
+            for scenario in self.vcfg.scenarios
+            if not _access_free(scenario, self.table)
+        )
+
+    def _choose_untracked(self, normal: dict[str, object]) -> None:
+        """Record the depth choice of every scenario the solver does not
+        track, as if its branch block's pops had made it.
+
+        A pop re-chooses from the branch block's normal state, and normal
+        states only grow while must-hit facts are only lost, so the
+        choice from the final state is the one the last pop would make —
+        and, with the long-window lock, the one every pop makes together.
+        """
+        tracked = self._scenario_by_color
+        for scenario in self.vcfg.scenarios:
+            if scenario.color in tracked:
+                continue
+            state = normal.get(scenario.branch_block)
+            if state is not None:
+                self.chooser.choose(scenario, state)
 
     # ------------------------------------------------------------------
     # Slot-placement indices
@@ -282,7 +300,7 @@ class SpeculativeCacheAnalysis:
         window is always a subset of ``window_miss``, so this is a sound
         upper bound on the window slots that can live at the block."""
         by_block: dict[str, set[int]] = {}
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             for block in scenario.window_miss.allowed:
                 by_block.setdefault(block, set()).add(scenario.color)
         return {block: frozenset(colors) for block, colors in by_block.items()}
@@ -297,7 +315,7 @@ class SpeculativeCacheAnalysis:
         strategy = self.speculation.merge_strategy
         if not strategy.convert_at_merge_point:
             return {}
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             convergence = scenario.convergence_block
             if convergence is None or convergence == scenario.correct_target:
                 continue
@@ -353,16 +371,10 @@ class SpeculativeCacheAnalysis:
         registry.counter("fixpoint.pops").inc(fixpoint.iterations)
         registry.counter("fixpoint.widenings").inc(fixpoint.widenings)
         registry.counter("fixpoint.slot_retransfers").inc(self._slot_transfers)
-        if self.prune_scenarios:
-            registry.counter("prune.scenarios_pruned").inc(len(self.pruned_scenarios))
-            registry.counter("prune.scenarios_retained").inc(len(self.vcfg.scenarios))
-        # When colors were pruned, the structural counters still describe
-        # the full scenario set (pruned windows contribute their bm edges
-        # like any never-shortened scenario), keeping reports comparable
-        # across the knob.
-        reporting_scenarios = (
-            self._all_scenarios if self._all_scenarios is not None else self.vcfg.scenarios
+        registry.counter("prune.scenarios_pruned").inc(
+            len(self.vcfg.scenarios) - len(self.solved_scenarios)
         )
+        registry.counter("prune.scenarios_retained").inc(len(self.solved_scenarios))
         result = CacheAnalysisResult(
             program_name=self.cfg.name,
             cache_config=self.cache_config,
@@ -371,15 +383,10 @@ class SpeculativeCacheAnalysis:
             iterations=fixpoint.iterations,
             widenings=fixpoint.widenings,
             analysis_time=fixpoint_span.duration,
-            num_speculative_branches=len(
-                {scenario.branch_block for scenario in reporting_scenarios}
-            ),
-            num_virtual_edges=sum(
-                scenario.window_miss.num_instructions
-                for scenario in reporting_scenarios
-            ),
+            num_speculative_branches=self.vcfg.num_speculative_branches,
+            num_virtual_edges=self.vcfg.num_virtual_edges,
         )
-        stats = self.chooser.stats(reporting_scenarios)
+        stats = self.chooser.stats(self.vcfg.scenarios)
         result.num_virtual_edges_active = stats.virtual_edges_active
         publish_progress(
             "classify", program=self.cfg.name, iterations=fixpoint.iterations
@@ -437,6 +444,7 @@ class SpeculativeCacheAnalysis:
             "speculative fixpoint" if plan is None else "warm speculative fixpoint",
         )
         fixpoint.widenings = policy.widenings
+        self._choose_untracked(normal)
         return fixpoint
 
     def _entry_state(self):
@@ -480,13 +488,14 @@ class SpeculativeCacheAnalysis:
         diff = diff_cfgs(warm.block_fingerprints, cfg)
 
         # --- scenario correspondence (structural, by branch identity) ----
-        old_by_key = {
-            (s.branch_block, s.mispredicted_taken): s for s in warm.scenarios
-        }
+        # Over the solved scenarios on both sides: a scenario that only
+        # one run tracked has slots in that run alone, so it is rebuilt.
+        old_solved = [s for s in warm.scenarios if s.color in warm.solved_colors]
+        old_by_key = {(s.branch_block, s.mispredicted_taken): s for s in old_solved}
         stable: dict[int, SpeculationScenario] = {}
         matched_old: set[int] = set()
         unstable_new: list[SpeculationScenario] = []
-        for new in self.vcfg.scenarios:
+        for new in self.solved_scenarios:
             old = old_by_key.get((new.branch_block, new.mispredicted_taken))
             if (
                 old is not None
@@ -502,7 +511,7 @@ class SpeculativeCacheAnalysis:
                 matched_old.add(old.color)
             else:
                 unstable_new.append(new)
-        unstable_old = [s for s in warm.scenarios if s.color not in matched_old]
+        unstable_old = [s for s in old_solved if s.color not in matched_old]
 
         # --- closure seeds ------------------------------------------------
         seeds: set[str] = set()
@@ -537,7 +546,7 @@ class SpeculativeCacheAnalysis:
         # their predecessors, and unstable ones had their targets seeded
         # above, so triggers over the *new* scenarios suffice.
         rollback_trigger: dict[str, list[str]] = {}
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             blocks = set(scenario.window_miss.allowed)
             blocks.add(scenario.branch_block)
             blocks.add(scenario.wrong_target)
@@ -569,7 +578,7 @@ class SpeculativeCacheAnalysis:
             "invalidated_blocks": len(affected),
             "seeded_blocks": len(reachable) - len(affected),
             "stable_scenarios": len(stable),
-            "rebuilt_scenarios": len(self.vcfg.scenarios) - len(stable),
+            "rebuilt_scenarios": len(self.solved_scenarios) - len(stable),
             "changed": len(diff.changed),
             "added": len(diff.added),
             "removed": len(diff.removed),
@@ -871,7 +880,7 @@ class SpeculativeCacheAnalysis:
         classifications: list[AccessClassification] = []
         for block in self.cfg.reachable_blocks():
             classifications.extend(self._classify_committed(fixpoint, block))
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             window = self.chooser.active_window(scenario)
             for block, limit in window.allowed.items():
                 classifications.extend(
@@ -956,12 +965,15 @@ class SpeculativeCacheAnalysis:
                         stack.append(successor)
 
         stable_new_colors = {s.color for s in plan.stable.values()}
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             if scenario.color not in stable_new_colors:
                 walk(scenario, self.cfg.successors)
         old_successors = plan.warm.old_successors
         for scenario in plan.warm.scenarios:
-            if scenario.color not in plan.stable:
+            if (
+                scenario.color in plan.warm.solved_colors
+                and scenario.color not in plan.stable
+            ):
                 walk(scenario, lambda name: old_successors.get(name, ()))
         return touched
 
@@ -1017,7 +1029,7 @@ class SpeculativeCacheAnalysis:
         old_color_of = {
             scenario.color: old_color for old_color, scenario in plan.stable.items()
         }
-        for scenario in self.vcfg.scenarios:
+        for scenario in self.solved_scenarios:
             window = self.chooser.active_window(scenario)
             old_color = old_color_of.get(scenario.color)
             for block, limit in window.allowed.items():

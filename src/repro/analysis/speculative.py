@@ -25,18 +25,12 @@ def analyze_speculative(
     depth_hit: int | None = None,
     dynamic_depth_bounding: bool | None = None,
     use_shadow_state: bool | None = None,
-    prune_scenarios: bool = False,
 ) -> CacheAnalysisResult:
     """Run the speculation-sound must-hit analysis on ``program``.
 
     Either pass a full :class:`SpeculationConfig`, or override individual
     knobs (merge strategy, ``bm``/``bh`` depths, dynamic bounding, shadow
     state); unspecified knobs keep the paper's defaults.
-
-    ``prune_scenarios`` runs the secret-taint pre-analysis and skips the
-    speculation scenarios it proves irrelevant (access-free windows) —
-    verdicts and classifications are bit-identical to the unpruned run;
-    only iteration counts and wall-clock change.
     """
     config = speculation or SpeculationConfig.paper_default()
     if merge_strategy is not None:
@@ -61,9 +55,6 @@ def analyze_speculative(
             ),
         )
     engine = SpeculativeCacheAnalysis(
-        program,
-        cache_config=cache_config,
-        speculation=config,
-        prune_scenarios=prune_scenarios,
+        program, cache_config=cache_config, speculation=config
     )
     return engine.run()

@@ -10,8 +10,8 @@ producing run's live values:
 * the final fixpoint states — the per-block normal states and every
   speculative slot — as the solver left them (states are immutable
   values, so sharing them with the finished run is safe);
-* the vcfg skeleton (frozen scenarios) and the depth chooser's final
-  per-color decisions;
+* the vcfg skeleton (frozen scenarios, with the colors the solver
+  tracked) and the depth chooser's final per-color decisions;
 * the run's classifications plus per-block *line* signatures, so
   classification of untouched blocks can be reused verbatim when the
   edit did not shift their source lines.
@@ -116,7 +116,8 @@ def snapshot_from_analysis(
         warm=WarmStartData(
             block_fingerprints=fingerprints,
             old_successors={name: tuple(cfg.successors(name)) for name in cfg.blocks},
-            scenarios=tuple(analysis.vcfg.scenarios),
+            scenarios=analysis.vcfg.scenarios,
+            solved_colors=frozenset(s.color for s in analysis.solved_scenarios),
             # A finished solve never touches its maps again: a new solve
             # builds fresh ones, and the warm seed only reads these.
             normal=fixpoint.normal,
@@ -189,10 +190,6 @@ def execute_retaining(
     """
     from repro.analysis.multicolor import SpeculativeCacheAnalysis
 
-    # Imported lazily: engine.py imports this module at load time, so the
-    # reverse import must wait until call time.
-    from repro.engine.engine import resolve_prune_scenarios
-
     with span(
         "analyze", kind=request.kind.value, label=request.label
     ) as analyze_span:
@@ -201,7 +198,6 @@ def execute_retaining(
             cache_config=request.cache_config,
             speculation=request.speculation,
             warm_start=warm_start,
-            prune_scenarios=resolve_prune_scenarios(request),
         )
         result = analysis.run()
         result.provenance = stamp_for_request(request)

@@ -44,13 +44,6 @@ class AnalysisRequest:
     unroll: bool = True
     inline: bool = True
     max_unroll_iterations: int = 4096
-    #: Drop speculation scenarios whose windows contain no access site
-    #: (see :class:`repro.analysis.multicolor.SpeculativeCacheAnalysis`).
-    #: Classifications and verdicts are
-    #: bit-identical to the unpruned run, but reported iteration counts
-    #: are not — so the knob participates in the result key (only when
-    #: on, keeping historical keys warm).
-    prune_scenarios: bool = False
     label: str | None = field(default=None, compare=False)
     #: ``result_key()`` of a prior request whose retained snapshot should
     #: warm-start this one (incremental re-analysis; see
@@ -142,12 +135,6 @@ class AnalysisRequest:
                 parts.append(self.use_shadow_state)
             else:
                 parts.append(self.resolved_speculation)
-                # Pruned runs extend the key (only when on, so default
-                # requests keep their historical keys): classifications
-                # are identical, but iteration counts are not, and
-                # `repro submit --verify` fingerprints include iterations.
-                if self.prune_scenarios:
-                    parts.append(("prune_scenarios", True))
             key = _digest("result", *parts)
             object.__setattr__(self, "_result_key", key)
         return key

@@ -295,8 +295,8 @@ class CFG:
         the snapshot builder after a full computation, and the IR-level
         fence patcher, which derives the edited graph's maps from its
         predecessor's by re-fingerprinting only the blocks it touched —
-        attach them so the hot incremental paths (``diff_cfgs``, the vcfg
-        memo key, classification reuse) stop paying a full per-instruction
+        attach them so the hot incremental paths (``diff_cfgs``,
+        classification reuse) stop paying a full per-instruction
         canonicalisation pass per candidate.  The caches are semantically
         transparent; mutating a block *in place* after attaching is
         unsupported (``add_block`` clears them, in-place instruction edits
@@ -330,8 +330,7 @@ class CFG:
         CFGs with equal fingerprints produce identical vcfgs and identical
         analysis results.  Computed fresh on every call unless a trusted
         producer attached content caches (see
-        :meth:`attach_content_caches`): content-keyed memos must never
-        alias a mutated graph to its old key.
+        :meth:`attach_content_caches`).
         """
         payload = (
             self.name,

@@ -130,9 +130,7 @@ def hoist_points(
     candidates are placed against depend on the speculation depth and
     merge strategy, and a mismatch silently produces candidates for a
     different analysis than the one scoring them.  The None default
-    (paper config) exists for standalone exploration only; the vcfg comes
-    from the shared content-fingerprint memo, so this costs nothing when
-    the synthesiser has already analysed the program under that config.
+    (paper config) exists for standalone exploration only.
     """
     cfg = program.cfg
     tainted = _resolve_tainted_branches(program, tainted_branches)

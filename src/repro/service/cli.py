@@ -209,7 +209,6 @@ def _build_request(args: argparse.Namespace, source: str) -> AnalysisRequest:
         line_size=args.line_size,
         cache_config=cache_config,
         speculation=speculation,
-        prune_scenarios=getattr(args, "prune_scenarios", False),
         label=args.label,
     )
 
@@ -921,11 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_geometry_args(submit)
     submit.add_argument("--depth-miss", type=int, default=None,
                         help="speculation depth bound bm")
-    submit.add_argument("--prune-scenarios", action="store_true",
-                        help="prune speculation scenarios with access-free "
-                             "windows before solving (identical "
-                             "verdicts and classifications; fewer slots, "
-                             "fewer iterations)")
     submit.add_argument("--depth-hit", type=int, default=None,
                         help="speculation depth bound bh")
     submit.add_argument("--label", default=None)

@@ -106,7 +106,6 @@ def request_to_wire(request: AnalysisRequest) -> dict:
         "unroll": request.unroll,
         "inline": request.inline,
         "max_unroll_iterations": request.max_unroll_iterations,
-        "prune_scenarios": request.prune_scenarios,
         "label": request.label,
         "warm_from": request.warm_from,
     }
@@ -136,6 +135,9 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             f"scenario_shards={legacy_shards} is no longer supported: "
             "scenario sharding was removed in repro 1.7; omit the field"
         )
+    # Clients before 1.8 may send ``prune_scenarios``: accepted and
+    # ignored, since every solve drops access-free scenarios.
+
     # Pre-incremental clients simply omit the lineage handle; a handle the
     # server has no snapshot for silently degrades to a cold run, so no
     # existence check belongs here — only a shape check.
@@ -165,9 +167,6 @@ def request_from_wire(data: Mapping[str, Any]) -> AnalysisRequest:
             unroll=bool(data.get("unroll", True)),
             inline=bool(data.get("inline", True)),
             max_unroll_iterations=int(data.get("max_unroll_iterations", 4096)),
-            # Pre-taint clients never prune (legacy default off), so
-            # their result keys — and any stored results — are unchanged.
-            prune_scenarios=bool(data.get("prune_scenarios", False)),
             label=data.get("label"),
             warm_from=warm_from,
         )

@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.engine.cache import LRUCache
 from repro.ir.cfg import CFG, diff_cfgs
 from repro.ir.dominators import postdominator_tree
 from repro.ir.instructions import CondBranch, Fence, MemoryRef
@@ -96,32 +95,39 @@ class SpeculationScenario:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VirtualCFG:
-    """The CFG together with all its speculation scenarios."""
+    """The CFG together with all its speculation scenarios.
+
+    Immutable: the scenario tuple and its lookup indices are fixed at
+    construction."""
 
     cfg: CFG
     config: SpeculationConfig
-    scenarios: list[SpeculationScenario] = field(default_factory=list)
-    #: Lazily (re)built lookup indices; never compared or printed.  Only
-    #: *appends* (how ``build_vcfg`` and tests grow the list) are detected
-    #: lazily, via the length; any other mutation — replacing the list or
-    #: editing elements in place — must call :meth:`invalidate_indices`.
-    #: The contract is deliberately explicit rather than heuristic:
-    #: identity-based detection is unsound under allocator address reuse.
+    scenarios: tuple[SpeculationScenario, ...] = ()
     _by_color: dict[int, SpeculationScenario] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
-    _by_branch: dict[str, list[SpeculationScenario]] = field(
-        default_factory=dict, repr=False, compare=False
+    _by_branch: dict[str, tuple[SpeculationScenario, ...]] = field(
+        init=False, repr=False, compare=False
     )
-    _indexed_count: int = field(default=-1, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scenarios = tuple(self.scenarios)
+        by_branch: dict[str, list[SpeculationScenario]] = {}
+        for scenario in scenarios:
+            by_branch.setdefault(scenario.branch_block, []).append(scenario)
+        object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "_by_color", {s.color: s for s in scenarios})
+        object.__setattr__(
+            self, "_by_branch", {name: tuple(group) for name, group in by_branch.items()}
+        )
 
     @property
     def num_speculative_branches(self) -> int:
         """Number of conditional branches that can speculate at all
         (the paper's "#Branch" column counts these)."""
-        return len({scenario.branch_block for scenario in self.scenarios})
+        return len(self._by_branch)
 
     @property
     def num_virtual_edges(self) -> int:
@@ -133,34 +139,11 @@ class VirtualCFG:
         """
         return sum(scenario.window_miss.num_instructions for scenario in self.scenarios)
 
-    def invalidate_indices(self) -> None:
-        """Force an index rebuild on the next lookup.  Required after any
-        mutation of ``scenarios`` other than appending — replacing the
-        list, or editing elements in place."""
-        self._indexed_count = -1
-
-    def _refresh_indices(self) -> None:
-        if self._indexed_count == len(self.scenarios):
-            return
-        self._by_color = {s.color: s for s in self.scenarios}
-        by_branch: dict[str, list[SpeculationScenario]] = {}
-        for scenario in self.scenarios:
-            by_branch.setdefault(scenario.branch_block, []).append(scenario)
-        self._by_branch = by_branch
-        self._indexed_count = len(self.scenarios)
-
-    def scenarios_at(self, branch_block: str) -> list[SpeculationScenario]:
-        self._refresh_indices()
-        return list(self._by_branch.get(branch_block, ()))
+    def scenarios_at(self, branch_block: str) -> tuple[SpeculationScenario, ...]:
+        return self._by_branch.get(branch_block, ())
 
     def scenario(self, color: int) -> SpeculationScenario:
-        """O(1) color lookup; raises :class:`KeyError` for unknown colors.
-
-        This sits on the engine's inner loop (every window and resume slot
-        at every block visit resolves its color), so it is dict-backed
-        rather than the linear scan it used to be.
-        """
-        self._refresh_indices()
+        """O(1) color lookup; raises :class:`KeyError` for unknown colors."""
         try:
             return self._by_color[color]
         except KeyError:
@@ -177,49 +160,10 @@ class VirtualCFG:
         return "\n".join(lines)
 
 
-def prune_vcfg(vcfg: "VirtualCFG", keep) -> list[SpeculationScenario]:
-    """Drop the scenarios for which ``keep(scenario)`` is false; returns
-    the removed scenarios (in their original order).
-
-    Mutating ``vcfg.scenarios`` in place is safe against the construction
-    memo: :func:`build_vcfg` returns a fresh wrapper with a fresh list per
-    call, sharing only the frozen scenario values.  The lookup indices are
-    invalidated, so later ``scenarios_at``/``scenario`` calls see the
-    pruned view.
-    """
-    removed = [scenario for scenario in vcfg.scenarios if not keep(scenario)]
-    if removed:
-        vcfg.scenarios[:] = [
-            scenario for scenario in vcfg.scenarios if keep(scenario)
-        ]
-        vcfg.invalidate_indices()
-    return removed
-
-
-# Scenario construction is deterministic in (cfg, config) and dominated
-# by the per-scenario window searches, so the result is memoised: every
-# engine construction over an already-seen (cfg, config) pair — repeat
-# requests against a cached compile, the per-candidate engines of the
-# mitigation searcher, differential benchmark runs — reuses the same
-# frozen scenario objects.  Entries are keyed by *content fingerprint*
-# rather than the old ``id(cfg)`` scheme, so re-parsing identical source
-# (the common service pattern: CI resubmitting the same program, the
-# mitigation loop re-emitting candidates) hits even though each parse
-# allocates a fresh CFG object.  The content key also removes the need
-# for weakref eviction — a bounded LRU caps residency instead, and a
-# mutated CFG simply hashes to a different key.
-_VCFG_MEMO_SIZE = 128
-_vcfg_memo: LRUCache = LRUCache(maxsize=_VCFG_MEMO_SIZE)
-
-
-def vcfg_memo_stats():
-    """Hit/miss/eviction counters of the scenario memo (for stats surfaces)."""
-    return _vcfg_memo.stats.snapshot()
-
-
-def _compute_scenarios(
-    cfg: CFG, config: SpeculationConfig
-) -> tuple[SpeculationScenario, ...]:
+def _compute_scenarios(cfg: CFG, window_pair) -> tuple[SpeculationScenario, ...]:
+    """Two scenarios per two-way conditional branch, colored in block
+    order; ``window_pair(branch_block, mispredicted_taken, wrong_target)``
+    supplies the scenario's ``(bm, bh)`` windows."""
     ipdom = postdominator_tree(cfg)
     scenarios: list[SpeculationScenario] = []
     color = 0
@@ -232,6 +176,7 @@ def _compute_scenarios(
         for mispredicted_taken in (True, False):
             wrong = terminator.true_target if mispredicted_taken else terminator.false_target
             correct = terminator.false_target if mispredicted_taken else terminator.true_target
+            window_miss, window_hit = window_pair(branch_block, mispredicted_taken, wrong)
             scenarios.append(
                 SpeculationScenario(
                     color=color,
@@ -240,8 +185,8 @@ def _compute_scenarios(
                     wrong_target=wrong,
                     correct_target=correct,
                     cond_refs=terminator.cond_refs,
-                    window_miss=compute_window(cfg, wrong, config.depth_miss),
-                    window_hit=compute_window(cfg, wrong, config.depth_hit),
+                    window_miss=window_miss,
+                    window_hit=window_hit,
                     convergence_block=convergence,
                 )
             )
@@ -249,32 +194,19 @@ def _compute_scenarios(
     return tuple(scenarios)
 
 
-def build_vcfg(
-    cfg: CFG, config: SpeculationConfig, *, fingerprint: str | None = None
-) -> VirtualCFG:
-    """Construct the virtual CFG (all speculation scenarios) for ``cfg``.
+def build_vcfg(cfg: CFG, config: SpeculationConfig) -> VirtualCFG:
+    """Construct the virtual CFG (all speculation scenarios) for ``cfg``."""
 
-    Memoised per (content fingerprint, config): repeat calls — including
-    calls against a *re-parsed but identical* CFG — share the frozen
-    :class:`SpeculationScenario` objects but always get a **fresh**
-    :class:`VirtualCFG` wrapper with a fresh ``scenarios`` list, so
-    callers that mutate the list (tests, the pre-PR benchmark reference)
-    cannot corrupt each other or the memo.  Pass ``fingerprint`` when the
-    caller has already computed ``cfg.content_fingerprint()``.
-    """
-    key = (fingerprint or cfg.content_fingerprint(), config)
-    scenarios = _vcfg_memo.get(key)
-    if scenarios is None:
-        with span("vcfg", program=cfg.name) as vcfg_span:
-            scenarios = _compute_scenarios(cfg, config)
-            vcfg_span.set(scenarios=len(scenarios))
-        _vcfg_memo.put(key, scenarios)
-    else:
-        # The phase still happened (served from the content-keyed memo);
-        # traces that assert pipeline coverage rely on seeing it.
-        with span("vcfg", program=cfg.name) as vcfg_span:
-            vcfg_span.set(scenarios=len(scenarios), cached=True)
-    return VirtualCFG(cfg=cfg, config=config, scenarios=list(scenarios))
+    def window_pair(branch_block: str, taken: bool, wrong: str):
+        return (
+            compute_window(cfg, wrong, config.depth_miss),
+            compute_window(cfg, wrong, config.depth_hit),
+        )
+
+    with span("vcfg", program=cfg.name) as vcfg_span:
+        scenarios = _compute_scenarios(cfg, window_pair)
+        vcfg_span.set(scenarios=len(scenarios))
+    return VirtualCFG(cfg=cfg, config=config, scenarios=scenarios)
 
 
 @dataclass(frozen=True)
@@ -317,11 +249,7 @@ def _window_reusable(
 
 
 def build_vcfg_incremental(
-    cfg: CFG,
-    config: SpeculationConfig,
-    baseline: VCFGBaseline,
-    *,
-    fingerprint: str | None = None,
+    cfg: CFG, config: SpeculationConfig, baseline: VCFGBaseline
 ) -> tuple[VirtualCFG, dict[str, int]]:
     """Rebuild the virtual CFG for an edited program, reusing what stands.
 
@@ -331,16 +259,10 @@ def build_vcfg_incremental(
     reused from ``baseline`` whenever the edit provably cannot have
     perturbed them (see :func:`_window_reusable`); only windows
     intersecting the edit are re-run.  The result is bit-identical to a
-    cold :func:`build_vcfg` and is inserted into the same memo.
+    cold :func:`build_vcfg`.
 
     Returns the vcfg plus reuse counters for observability.
     """
-    key = (fingerprint or cfg.content_fingerprint(), config)
-    memoised = _vcfg_memo.get(key)
-    if memoised is not None:
-        stats = {"windows_reused": 0, "windows_recomputed": 0, "memo_hit": 1}
-        return VirtualCFG(cfg=cfg, config=config, scenarios=list(memoised)), stats
-
     diff = diff_cfgs(baseline.block_fingerprints, cfg)
     touched = diff.touched
     old_windows: dict[tuple[str, bool], tuple[SpeculativeWindow, SpeculativeWindow]] = {
@@ -370,53 +292,15 @@ def build_vcfg_incremental(
         return windows[0], windows[1]
 
     with span("vcfg.incremental", program=cfg.name) as vcfg_span:
-        ipdom = postdominator_tree(cfg)
-        scenarios: list[SpeculationScenario] = []
-        color = 0
-        for branch_block in cfg.conditional_blocks():
-            terminator = cfg.block(branch_block).terminator
-            assert isinstance(terminator, CondBranch)
-            if terminator.true_target == terminator.false_target:
-                continue
-            convergence = ipdom.get(branch_block)
-            for mispredicted_taken in (True, False):
-                wrong = (
-                    terminator.true_target
-                    if mispredicted_taken
-                    else terminator.false_target
-                )
-                correct = (
-                    terminator.false_target
-                    if mispredicted_taken
-                    else terminator.true_target
-                )
-                window_miss, window_hit = window_pair(
-                    branch_block, mispredicted_taken, wrong
-                )
-                scenarios.append(
-                    SpeculationScenario(
-                        color=color,
-                        branch_block=branch_block,
-                        mispredicted_taken=mispredicted_taken,
-                        wrong_target=wrong,
-                        correct_target=correct,
-                        cond_refs=terminator.cond_refs,
-                        window_miss=window_miss,
-                        window_hit=window_hit,
-                        convergence_block=convergence,
-                    )
-                )
-                color += 1
-        frozen = tuple(scenarios)
+        scenarios = _compute_scenarios(cfg, window_pair)
         vcfg_span.set(
-            scenarios=len(frozen), windows_reused=reused, windows_recomputed=recomputed
+            scenarios=len(scenarios), windows_reused=reused, windows_recomputed=recomputed
         )
-    _vcfg_memo.put(key, frozen)
     registry = metrics()
     registry.counter("incremental.windows_reused").inc(reused)
     registry.counter("incremental.windows_recomputed").inc(recomputed)
-    stats = {"windows_reused": reused, "windows_recomputed": recomputed, "memo_hit": 0}
-    return VirtualCFG(cfg=cfg, config=config, scenarios=list(frozen)), stats
+    stats = {"windows_reused": reused, "windows_recomputed": recomputed}
+    return VirtualCFG(cfg=cfg, config=config, scenarios=scenarios), stats
 
 
 def first_fence_index(cfg: CFG, block: str) -> int | None:

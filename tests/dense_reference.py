@@ -54,6 +54,7 @@ class DenseReferenceAnalysis(SpeculativeCacheAnalysis):
             worklist, step, max_visits=MAX_VISITS, description="speculative fixpoint"
         )
         fixpoint.widenings = policy.widenings
+        self._choose_untracked(normal)
         return fixpoint
 
     def _process_block(

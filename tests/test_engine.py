@@ -283,6 +283,26 @@ class TestEngineCaching:
         assert via_spec.iterations == direct_spec.iterations
 
 
+    def test_cold_speculative_request_never_hashes_the_whole_cfg(self, monkeypatch):
+        """Whole-CFG and per-block fingerprints serve incremental
+        re-analysis only; a cold run without ``warm_from`` needs neither."""
+        from repro.ir.cfg import CFG
+
+        calls = {"content_fingerprint": 0, "block_fingerprints": 0}
+        for name in calls:
+            original = getattr(CFG, name)
+
+            def counted(self, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(CFG, name, counted)
+        result = execute_request(
+            AnalysisRequest.speculative(BRANCH_SOURCE, cache_config=CACHE)
+        )
+        assert result.num_speculative_branches == 1
+        assert calls == {"content_fingerprint": 0, "block_fingerprints": 0}
+
 # ----------------------------------------------------------------------
 # Batch execution
 # ----------------------------------------------------------------------

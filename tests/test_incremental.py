@@ -21,7 +21,9 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from unpruned_reference import UnprunedReferenceAnalysis
 
+from repro.analysis.multicolor import SpeculativeCacheAnalysis
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.incremental import (
@@ -197,6 +199,119 @@ class TestWarmColdIdentity:
         base_cfg = compile_source(BASE_SOURCE).cfg
         reemitted_cfg = compile_source(reemitted).cfg
         assert diff_cfgs(base_cfg, reemitted_cfg).is_identical
+
+
+# ----------------------------------------------------------------------
+# Warm starts across a change in the solved scenario set
+# ----------------------------------------------------------------------
+#: The last branch's windows run through register-only code to the end
+#: of the program: they hold no access, so the solver drops both of its
+#: scenarios.  The fence keeps the first branch's windows out of them.  Its condition is a must hit and the tail is longer than
+#: the ``bh`` bound, so the depth choice of the dropped scenarios shows
+#: in ``virtual_edges_active``.
+PRUNABLE_SOURCE = """
+char table[1024];
+char cnd[256];
+secret int key;
+reg int p;
+int main() {
+    reg int x;
+    x = table[key];
+    x = x + cnd[64];
+    if (cnd[0] > 0) {
+        x = x + table[64];
+    }
+    fence;
+    if (cnd[64] > 0) {
+        p = p + 1;
+    }
+    p = p * 3 + 1;
+    p = p * 5 + 2;
+    p = p * 7 + 3;
+    p = p * 9 + 4;
+    p = p * 11 + 5;
+    p = p * 13 + 6;
+    return x;
+}
+"""
+
+#: The tail's first access: the last branch's windows are no longer
+#: access-free.
+ACCESS_GAINED_SOURCE = PRUNABLE_SOURCE.replace(
+    "p = p * 9 + 4;", "p = p * 9 + table[192];"
+)
+
+
+def solved_colors(source: str, geometry) -> set[int]:
+    analysis = SpeculativeCacheAnalysis(compile_source(source), cache_config=geometry)
+    return {scenario.color for scenario in analysis.solved_scenarios}
+
+
+class TestWarmAcrossPruning:
+    """Warm runs whose edit moves a scenario into or out of the solved
+    set agree with the cold solver and with the unpruned reference."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["paper-lru", "fifo-2way"])
+    @pytest.mark.parametrize(
+        "direction", ["window_gains_first_access", "window_loses_last_access"]
+    )
+    def test_warm_cold_and_reference_agree(self, direction, geometry):
+        base, edited = PRUNABLE_SOURCE, ACCESS_GAINED_SOURCE
+        if direction == "window_loses_last_access":
+            base, edited = edited, base
+        assert solved_colors(base, geometry) != solved_colors(edited, geometry)
+        warm, cold, engine = warm_vs_cold(base, edited, geometry)
+        assert engine.stats.incremental.warm_hits == 1
+        reference = UnprunedReferenceAnalysis(
+            compile_source(edited), cache_config=geometry
+        ).run()
+        for other in (cold, reference):
+            assert_semantically_identical(warm, other)
+            assert warm.num_virtual_edges_active == other.num_virtual_edges_active
+
+    def test_scenarios_dropped_by_both_runs_invalidate_nothing(self):
+        """An edit inside the dropped scenarios' windows that keeps them
+        access-free leaves their rollback targets seeded: neither run has
+        slots for them to re-derive."""
+        geometry = GEOMETRIES[0]
+        base = _request(PRUNABLE_SOURCE, geometry)
+        base_program = compile_source(PRUNABLE_SOURCE)
+        result, analysis = execute_retaining(base, base_program)
+        snapshot = snapshot_from_analysis(base, base_program, analysis, result)
+        edited_source = PRUNABLE_SOURCE.replace("p * 3 + 1", "p * 3 + 7")
+        edited = _request(edited_source, geometry)
+        warm, analysis = execute_retaining(
+            edited,
+            compile_source(edited_source),
+            warm_start=warm_start_from_snapshot(snapshot),
+        )
+        solved = {scenario.color for scenario in analysis.solved_scenarios}
+        dropped = [s for s in analysis.vcfg.scenarios if s.color not in solved]
+        assert dropped
+        affected = analysis._warm_plan.affected
+        assert affected
+        assert any(scenario.correct_target not in affected for scenario in dropped)
+        assert_semantically_identical(warm, execute_request(edited))
+
+    @pytest.mark.parametrize("strategy", list(MergeStrategy), ids=lambda s: s.value)
+    def test_merge_strategies(self, strategy):
+        speculation = SpeculationConfig.paper_default().with_strategy(strategy)
+        for base, edited in (
+            (PRUNABLE_SOURCE, ACCESS_GAINED_SOURCE),
+            (ACCESS_GAINED_SOURCE, PRUNABLE_SOURCE),
+        ):
+            warm, cold, engine = warm_vs_cold(
+                base, edited, GEOMETRIES[0], speculation=speculation
+            )
+            assert engine.stats.incremental.warm_hits == 1
+            reference = UnprunedReferenceAnalysis(
+                compile_source(edited),
+                cache_config=GEOMETRIES[0],
+                speculation=speculation,
+            ).run()
+            for other in (cold, reference):
+                assert_semantically_identical(warm, other)
+                assert warm.num_virtual_edges_active == other.num_virtual_edges_active
 
 
 # ----------------------------------------------------------------------

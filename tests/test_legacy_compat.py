@@ -2,7 +2,9 @@
 scenario-sharded scheduler, keep working with the single sparse solver,
 and the knobs that selected the scheduler (``mode=``, the shard
 parameters and request fields, the CLI flags and ``REPRO_SHARD_BACKEND``)
-stay removed.
+stay removed.  Likewise for the scenario-pruning switches of releases
+before 1.8 (``prune_scenarios``, ``--prune-scenarios`` and
+``REPRO_PRUNE_SCENARIOS``): the solver now always prunes.
 
 ``tests/data/legacy_result_store.json`` holds one
 :class:`~repro.service.store.ResultStore` entry written by repro 1.6.0:
@@ -83,6 +85,16 @@ class TestLegacyWire:
         payload["shard_backend"] = backend
         assert request_from_wire(payload) == request
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_prune_scenarios_key_is_ignored(self, flag):
+        request = AnalysisRequest.speculative(SOURCE)
+        payload = request_to_wire(request)
+        assert "prune_scenarios" not in payload
+        payload["prune_scenarios"] = flag
+        restored = request_from_wire(payload)
+        assert restored == request
+        assert restored.result_key() == request.result_key()
+
     def test_sharded_count_sent_as_a_string_is_refused(self):
         payload = request_to_wire(AnalysisRequest.speculative(SOURCE))
         payload["scenario_shards"] = "4"
@@ -149,6 +161,7 @@ REMOVED_ANALYSIS_KNOBS = {
     "scenario_shards": 2,
     "shard_threads": True,
     "shard_backend": "processes",
+    "prune_scenarios": True,
 }
 
 
@@ -165,7 +178,9 @@ class TestRemovedKnobs:
         with pytest.raises(TypeError, match=knob):
             analyze_speculative(program, **{knob: REMOVED_ANALYSIS_KNOBS[knob]})
 
-    @pytest.mark.parametrize("field", ["scenario_shards", "shard_backend"])
+    @pytest.mark.parametrize(
+        "field", ["scenario_shards", "shard_backend", "prune_scenarios"]
+    )
     def test_request_rejects(self, field):
         with pytest.raises(TypeError, match=field):
             AnalysisRequest.speculative(SOURCE, **{field: REMOVED_ANALYSIS_KNOBS[field]})
@@ -178,7 +193,8 @@ class TestRemovedKnobs:
         assert not hasattr(result, "shard_backend_used")
 
     @pytest.mark.parametrize(
-        "flag", [["--scenario-shards", "2"], ["--shard-backend", "processes"]]
+        "flag",
+        [["--scenario-shards", "2"], ["--shard-backend", "processes"], ["--prune-scenarios"]],
     )
     def test_cli_submit_rejects(self, flag, tmp_path, capsys):
         path = tmp_path / "kernel.c"
@@ -194,6 +210,18 @@ class TestRemovedKnobs:
         monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
         plain = execute_request(request)
         monkeypatch.setenv("REPRO_SHARD_BACKEND", value)
+        forced = execute_request(request)
+        assert result_fingerprint(forced) == result_fingerprint(plain)
+        assert forced.iterations == plain.iterations
+
+    @pytest.mark.parametrize("value", ["1", "0"])
+    def test_prune_environment_variable_is_ignored(self, value, monkeypatch):
+        from repro.bench.programs import taint_sparse_kernel_source
+
+        request = AnalysisRequest.speculative(taint_sparse_kernel_source(4))
+        monkeypatch.delenv("REPRO_PRUNE_SCENARIOS", raising=False)
+        plain = execute_request(request)
+        monkeypatch.setenv("REPRO_PRUNE_SCENARIOS", value)
         forced = execute_request(request)
         assert result_fingerprint(forced) == result_fingerprint(plain)
         assert forced.iterations == plain.iterations

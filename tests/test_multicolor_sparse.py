@@ -325,23 +325,23 @@ class TestPostdominatorTree:
 # O(1) scenario lookup and slot-placement indices
 # ----------------------------------------------------------------------
 class TestScenarioIndices:
-    def test_scenario_lookup_tracks_mutation(self, quantl_program):
+    def test_scenario_lookup_is_fixed_at_construction(self, quantl_program):
         import dataclasses
 
         vcfg = build_vcfg(quantl_program.cfg, SpeculationConfig.paper_default())
+        assert isinstance(vcfg.scenarios, tuple)
         first = vcfg.scenario(0)
         assert first.color == 0
-        appended = dataclasses.replace(first, color=9999)
-        vcfg.scenarios.append(appended)
-        assert vcfg.scenario(9999) is appended  # append detected lazily
         with pytest.raises(KeyError):
             vcfg.scenario(123456)
-        assert vcfg.scenarios_at(first.branch_block)
-        # Non-append mutations require the explicit invalidation contract.
-        replaced = dataclasses.replace(vcfg.scenario(0), convergence_block=None)
-        vcfg.scenarios = [replaced] + list(vcfg.scenarios[1:-1])
-        vcfg.invalidate_indices()
-        assert vcfg.scenario(0) is replaced
+        assert first in vcfg.scenarios_at(first.branch_block)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vcfg.scenarios = ()
+        # A different scenario set is a different VirtualCFG.
+        appended = dataclasses.replace(first, color=9999)
+        grown = dataclasses.replace(vcfg, scenarios=vcfg.scenarios + (appended,))
+        assert grown.scenario(9999) is appended
+        assert appended in grown.scenarios_at(first.branch_block)
         with pytest.raises(KeyError):
             vcfg.scenario(9999)
 

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.analysis.result import CacheAnalysisResult
+from repro.bench.programs import taint_sparse_kernel_source
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import AnalysisRequest
@@ -178,12 +179,13 @@ class TestTracer:
 # Determinism: tracing must never perturb results
 # ----------------------------------------------------------------------
 #: Request shapes the on/off differentials run: the plain speculative
-#: analysis, the baseline, scenario pruning, and a non-default merge
-#: strategy with a small set-associative cache.
+#: analysis, the baseline, a program most of whose scenarios the solver
+#: prunes, and a non-default merge strategy with a small set-associative
+#: cache.
 DIFFERENTIAL_REQUESTS = {
     "speculative": lambda: AnalysisRequest.speculative(SOURCE),
     "baseline": lambda: AnalysisRequest.baseline(SOURCE),
-    "pruned": lambda: AnalysisRequest.speculative(SOURCE, prune_scenarios=True),
+    "pruned": lambda: AnalysisRequest.speculative(taint_sparse_kernel_source(4)),
     "merge-at-rollback": lambda: AnalysisRequest.speculative(
         SOURCE,
         cache_config=CacheConfig(num_lines=4, line_size=64, associativity=2),

@@ -1,36 +1,47 @@
-"""Taint-driven scenario pruning: differential identity against the
-unpruned engine, the request/wire/CLI plumbing, and the env knob."""
+"""Scenario pruning: the solver drops access-free scenarios, and must
+agree with the unpruned reference (``tests/unpruned_reference.py``) on
+every result field except the pop count."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
+from unpruned_reference import UnprunedReferenceAnalysis
 
 from repro import compile_source
 from repro.analysis.multicolor import SpeculativeCacheAnalysis
-from repro.bench.client import build_client_source
-from repro.bench.crypto import crypto_kernel
+from repro.bench.crypto import CRYPTO_BENCHMARKS
 from repro.bench.programs import taint_sparse_kernel_source
+from repro.bench.tables import table7_client_request
 from repro.cache.config import CacheConfig
-from repro.engine.engine import (
-    PRUNE_SCENARIOS_ENV,
-    execute_request,
-    resolve_prune_scenarios,
-)
-from repro.engine.request import AnalysisRequest
-from repro.service.wire import request_from_wire, request_to_wire
 from repro.speculation.config import SpeculationConfig
+from repro.speculation.merge import MergeStrategy
+from repro.service.wire import result_to_wire
 
 SEED = 0x7A1A7
 
 BENCH_CACHE = CacheConfig(num_lines=64, line_size=64)
 
+#: Three geometries: a tiny fully-associative cache (misses everywhere),
+#: the benchmark cache, and a small two-way FIFO cache.
+GEOMETRIES = {
+    "4-line": CacheConfig(num_lines=4, line_size=64),
+    "64-line": BENCH_CACHE,
+    "2-way-fifo": CacheConfig(num_lines=8, line_size=64, associativity=2, policy="fifo"),
+}
+
+#: Wire fields allowed to differ: the pop count (pruning pops fewer
+#: blocks) and the fields that say how, not what, was computed.
+UNCOMPARED_FIELDS = ("iterations", "analysis_time", "provenance", "from_cache")
+
 
 def random_secret_source(rng: random.Random, num_statements: int = 10) -> str:
-    """Seeded random MiniC mixing public diamonds, register-only diamonds
-    (prunable windows), and secret-derived accesses."""
+    """Seeded random MiniC mixing diamonds with and without accesses,
+    register-only runs, and secret-derived accesses.  Diamonds whose arms
+    and continuations hold no access have access-free windows; a
+    memory condition makes their depth choice depend on the cache
+    state."""
     arrays = 4
     decls = [f"char a{i}[64];" for i in range(arrays)]
     decls += ["char cnd[256];", "char sbox[256];", "secret int key;", "reg int p;"]
@@ -38,23 +49,28 @@ def random_secret_source(rng: random.Random, num_statements: int = 10) -> str:
     def access() -> str:
         return f"a{rng.randrange(arrays)}[{rng.choice([0, 32])}];"
 
+    def condition() -> str:
+        if rng.random() < 0.5:
+            return f"cnd[{rng.randrange(4) * 64}]"
+        return f"p > {rng.randrange(4)}"
+
     body = []
     for _ in range(num_statements):
         roll = rng.random()
-        if roll < 0.30:
+        if roll < 0.25:
             body.append("  " + access())
-        elif roll < 0.55:
-            # Memory-condition diamond with accesses: never prunable.
-            body.append(
-                f"  if (cnd[{rng.randrange(4) * 64}]) "
-                f"{{ {access()} }} else {{ {access()} }}"
-            )
-        elif roll < 0.80:
-            # Register-only diamond: its windows may be access-free.
+        elif roll < 0.45:
+            body.append(f"  if ({condition()}) {{ {access()} }} else {{ {access()} }}")
+        elif roll < 0.65:
             bound = rng.randrange(4)
-            body.append(f"  if (p > {bound}) {{ p = p + {bound + 1}; }}")
+            body.append(f"  if ({condition()}) {{ p = p + {bound + 1}; }}")
+        elif roll < 0.85:
+            body.extend(f"  p = p * 3 + {k};" for k in range(rng.randrange(2, 9)))
         else:
             body.append("  sbox[key];")
+    # A register-only tail of random length: the windows of the last
+    # branches run into it and may be long, short or empty.
+    body.extend(f"  p = p * 5 + {k};" for k in range(rng.randrange(12)))
     return (
         "\n".join(decls)
         + "\n\nint main() {\n"
@@ -63,131 +79,126 @@ def random_secret_source(rng: random.Random, num_statements: int = 10) -> str:
     )
 
 
-def run_pair(program, cache, speculation=None):
-    """(cold, pruned) analyses of one program, both run to completion."""
-    speculation = speculation or SpeculationConfig.paper_default()
+def compared(result) -> dict:
+    wire = result_to_wire(result)
+    for name in UNCOMPARED_FIELDS:
+        del wire[name]
+    return wire
 
-    def engine(**kwargs):
-        return SpeculativeCacheAnalysis(
-            program, cache_config=cache, speculation=speculation, **kwargs
+
+def assert_matches_reference(program, cache, speculation) -> SpeculativeCacheAnalysis:
+    """Run the solver and the unpruned reference; returns the solver."""
+    analysis = SpeculativeCacheAnalysis(
+        program, cache_config=cache, speculation=speculation
+    )
+    result = analysis.run()
+    reference = UnprunedReferenceAnalysis(
+        program, cache_config=cache, speculation=speculation
+    ).run()
+    assert compared(result) == compared(reference)
+    assert result.entry_states == reference.entry_states
+    assert result.iterations <= reference.iterations
+    return analysis
+
+
+def speculation_for(strategy: MergeStrategy) -> SpeculationConfig:
+    return SpeculationConfig.paper_default().with_strategy(strategy)
+
+
+@pytest.fixture(scope="module")
+def table7_programs() -> dict:
+    programs = {}
+    for name in CRYPTO_BENCHMARKS:
+        request = table7_client_request(name)
+        programs[name] = compile_source(request.source, line_size=request.line_size)
+    return programs
+
+
+@pytest.fixture(scope="module")
+def seeded_corpus() -> list:
+    rng = random.Random(SEED)
+    return [compile_source(random_secret_source(rng)) for _ in range(8)]
+
+
+class TestReferenceAgreement:
+    """The whole wire result, minus the pop count, equals the unpruned
+    reference's: classifications, leak flag, branch and virtual-edge
+    counters and the depth-bounding counter ``virtual_edges_active``."""
+
+    @pytest.mark.parametrize("name", sorted(CRYPTO_BENCHMARKS))
+    def test_table7_harnesses(self, name, table7_programs):
+        request = table7_client_request(name)
+        assert_matches_reference(
+            table7_programs[name], request.resolved_cache_config, request.speculation
         )
 
-    cold_analysis = engine()
-    cold = cold_analysis.run()
-    pruned_analysis = engine(prune_scenarios=True)
-    pruned = pruned_analysis.run()
-    return cold_analysis, cold, pruned_analysis, pruned
+    @pytest.mark.parametrize("strategy", list(MergeStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_table7_harnesses_across_strategies(
+        self, strategy, geometry, table7_programs
+    ):
+        for name in ("hash", "des", "str2key"):
+            assert_matches_reference(
+                table7_programs[name], GEOMETRIES[geometry], speculation_for(strategy)
+            )
 
+    @pytest.mark.parametrize("strategy", list(MergeStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_seeded_corpus(self, strategy, geometry, seeded_corpus):
+        for program in seeded_corpus:
+            assert_matches_reference(
+                program, GEOMETRIES[geometry], speculation_for(strategy)
+            )
 
-class TestDifferentialIdentity:
-    """Pruned runs are bit-identical to unpruned runs in everything the
-    result reports as a verdict: classifications (hence must-hits, leak
-    sites) and the leak flag itself."""
-
-    @pytest.mark.parametrize("name", ["hash", "des", "str2key"])
-    def test_table7_kernels(self, name):
-        kernel = crypto_kernel(name, 64, 64)
-        program = compile_source(build_client_source(kernel, 2880))
-        _, cold, _, pruned = run_pair(program, BENCH_CACHE)
-        assert pruned.classifications == cold.classifications
-        assert pruned.leak_detected == cold.leak_detected
-        assert pruned.must_hit_sites() == cold.must_hit_sites()
-
-    def test_seeded_random_programs(self):
-        rng = random.Random(SEED)
-        for _ in range(6):
-            source = random_secret_source(rng)
-            program = compile_source(source)
-            for cache in (
-                CacheConfig(num_lines=4, line_size=64),
-                CacheConfig(num_lines=8, line_size=64, associativity=2, policy="fifo"),
-            ):
-                _, cold, _, pruned = run_pair(program, cache)
-                assert pruned.classifications == cold.classifications, source
-                assert pruned.leak_detected == cold.leak_detected, source
-
-    def test_taint_sparse_kernel_prunes_and_matches(self):
+    @pytest.mark.parametrize("strategy", list(MergeStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_taint_sparse_kernel(self, strategy, geometry):
         program = compile_source(taint_sparse_kernel_source(8))
-        _, cold, pruned_analysis, pruned = run_pair(program, BENCH_CACHE)
-        assert len(pruned_analysis.pruned_scenarios) >= 1
-        assert pruned.classifications == cold.classifications
-        assert cold.leak_detected and pruned.leak_detected
+        analysis = assert_matches_reference(
+            program, GEOMETRIES[geometry], speculation_for(strategy)
+        )
+        # Every diamond's two scenarios are access-free; the tail's two
+        # are not.
+        assert len(analysis.vcfg.scenarios) - len(analysis.solved_scenarios) >= 16
+        assert len(analysis.solved_scenarios) == 2
 
-    def test_reported_scenario_counters_are_pre_prune(self):
-        """Pruning must not shrink the *reported* branch/edge counters:
-        they describe the program, not the schedule."""
+    def test_static_depth_bound(self):
+        """Without dynamic depth bounding every window stays long."""
+        program = compile_source(taint_sparse_kernel_source(4))
+        speculation = SpeculationConfig(dynamic_depth_bounding=False)
+        assert_matches_reference(program, BENCH_CACHE, speculation)
+
+
+class TestSolvedScenarios:
+    def test_vcfg_keeps_the_full_scenario_set(self):
         program = compile_source(taint_sparse_kernel_source(8))
-        _, cold, _, pruned = run_pair(program, BENCH_CACHE)
-        assert pruned.num_speculative_branches == cold.num_speculative_branches
-        assert pruned.num_virtual_edges == cold.num_virtual_edges
+        analysis = SpeculativeCacheAnalysis(program, cache_config=BENCH_CACHE)
+        result = analysis.run()
+        assert len(analysis.solved_scenarios) < len(analysis.vcfg.scenarios)
+        assert result.num_speculative_branches == analysis.vcfg.num_speculative_branches
+        assert result.num_virtual_edges == analysis.vcfg.num_virtual_edges
 
+    def test_access_free_colors_hold_no_slots(self):
+        program = compile_source(taint_sparse_kernel_source(8))
+        analysis = SpeculativeCacheAnalysis(program, cache_config=BENCH_CACHE)
+        fixpoint = analysis.solve()
+        solved = {scenario.color for scenario in analysis.solved_scenarios}
+        colors = {slot[1] for slots in fixpoint.speculative.values() for slot in slots}
+        assert colors and colors <= solved
 
-class TestRequestPlumbing:
-    def test_result_key_changes_only_when_enabled(self):
-        request = AnalysisRequest.speculative(
-            "char a[64];\nint main() { a[0]; return 0; }\n"
-        )
-        enabled = dataclasses.replace(request, prune_scenarios=True)
-        assert request.result_key() != enabled.result_key()
-        # Flag-off keys are position-independent of the new field: a fresh
-        # request that never mentions pruning digests to the same key.
-        untouched = AnalysisRequest.speculative(request.source)
-        assert untouched.result_key() == request.result_key()
-
-    def test_wire_round_trip(self):
-        request = AnalysisRequest.speculative(
-            "char a[64];\nint main() { a[0]; return 0; }\n"
-        )
-        for flag in (False, True):
-            tagged = dataclasses.replace(request, prune_scenarios=flag)
-            restored = request_from_wire(request_to_wire(tagged))
-            assert restored.prune_scenarios is flag
-            assert restored.result_key() == tagged.result_key()
-
-    def test_wire_legacy_payload_defaults_off(self):
-        request = AnalysisRequest.speculative(
-            "char a[64];\nint main() { a[0]; return 0; }\n"
-        )
-        payload = request_to_wire(request)
-        del payload["prune_scenarios"]
-        restored = request_from_wire(payload)
-        assert restored.prune_scenarios is False
-        assert restored.result_key() == request.result_key()
-
-    def test_cli_flag_reaches_request(self, tmp_path):
-        from repro.service.cli import _build_request, build_parser
-
-        path = tmp_path / "p.mc"
-        path.write_text("char a[64];\nint main() { a[0]; return 0; }\n")
-        args = build_parser().parse_args(["submit", str(path), "--prune-scenarios"])
-        assert args.prune_scenarios is True
-        request = _build_request(args, path.read_text())
-        assert request.prune_scenarios is True
-        default_args = build_parser().parse_args(["submit", str(path)])
-        assert _build_request(default_args, path.read_text()).prune_scenarios is False
-
-
-class TestEnvKnob:
-    def test_resolution_order(self, monkeypatch):
-        request = AnalysisRequest.speculative(
-            "char a[64];\nint main() { a[0]; return 0; }\n"
-        )
-        monkeypatch.delenv(PRUNE_SCENARIOS_ENV, raising=False)
-        assert resolve_prune_scenarios(request) is False
-        assert resolve_prune_scenarios(
-            dataclasses.replace(request, prune_scenarios=True)
-        ) is True
-        monkeypatch.setenv(PRUNE_SCENARIOS_ENV, "1")
-        assert resolve_prune_scenarios(request) is True
-        monkeypatch.setenv(PRUNE_SCENARIOS_ENV, "0")
-        assert resolve_prune_scenarios(request) is False
-
-    def test_env_forced_run_matches_cold(self, monkeypatch):
-        source = taint_sparse_kernel_source(8)
-        request = AnalysisRequest.speculative(source)
-        monkeypatch.delenv(PRUNE_SCENARIOS_ENV, raising=False)
-        cold = execute_request(request)
-        monkeypatch.setenv(PRUNE_SCENARIOS_ENV, "1")
-        forced = execute_request(request)
-        assert forced.classifications == cold.classifications
-        assert forced.leak_detected == cold.leak_detected
+    def test_untracked_scenarios_record_a_depth_choice(self):
+        """An untracked scenario whose branch condition is a must hit is
+        reported at its short window, as the unpruned run chooses, not at
+        the default long one."""
+        program = compile_source(taint_sparse_kernel_source(8))
+        analysis = SpeculativeCacheAnalysis(program, cache_config=BENCH_CACHE)
+        analysis.run()
+        solved = {scenario.color for scenario in analysis.solved_scenarios}
+        untracked = [s for s in analysis.vcfg.scenarios if s.color not in solved]
+        shortened = [
+            scenario
+            for scenario in untracked
+            if analysis.chooser.active_window(scenario) is scenario.window_hit
+            and scenario.window_hit.depth < scenario.window_miss.depth
+        ]
+        assert shortened

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.bench.programs import taint_sparse_kernel_source
 from repro.cache.config import CacheConfig
 from repro.engine.engine import AnalysisEngine, execute_request
 from repro.engine.request import AnalysisRequest
@@ -192,11 +193,12 @@ class TestLifecycleEvents:
 # Progress must never perturb results (the observational contract)
 # ----------------------------------------------------------------------
 #: Request shapes the progress differential runs: the plain speculative
-#: analysis, scenario pruning, and a non-default merge strategy with a
-#: small set-associative cache (all publish fixpoint progress).
+#: analysis, a program most of whose scenarios the solver prunes, and a
+#: non-default merge strategy with a small set-associative cache (all
+#: publish fixpoint progress).
 PROGRESS_REQUESTS = {
     "speculative": lambda: AnalysisRequest.speculative(BRANCHY_SOURCE),
-    "pruned": lambda: AnalysisRequest.speculative(BRANCHY_SOURCE, prune_scenarios=True),
+    "pruned": lambda: AnalysisRequest.speculative(taint_sparse_kernel_source(4)),
     "merge-after-branch": lambda: AnalysisRequest.speculative(
         BRANCHY_SOURCE,
         cache_config=CacheConfig(num_lines=4, line_size=64, associativity=2),
